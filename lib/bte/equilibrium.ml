@@ -23,17 +23,21 @@ type t = {
   di0 : float array array; (* dI0/dT on the same grid *)
 }
 
+(* Bose-Einstein occupation and its temperature derivative written in
+   terms of x = hbar w / (kb T) and e = expm1 x, so the table builder can
+   share one expm1 between the two *)
+let f_of_e e = 1. /. e
+let df_of_e x t e = x /. t *. (e +. 1.) /. (e *. e)
+
 let f_bose w t =
   let x = Constants.hbar *. w /. (Constants.kb *. t) in
   (* guard very small x: expm1 keeps precision *)
-  1. /. Float.expm1 x
+  f_of_e (Float.expm1 x)
 
 (* d f_BE / dT *)
 let df_bose w t =
   let x = Constants.hbar *. w /. (Constants.kb *. t) in
-  let e = Float.expm1 x in
-  let ex = e +. 1. in
-  x /. t *. ex /. (e *. e)
+  df_of_e x t (Float.expm1 x)
 
 (* spectral integrand hbar w vg D(w) for one branch *)
 let spectral branch w =
@@ -41,13 +45,20 @@ let spectral branch w =
 
 let quad_points = 32
 
+let quad_step (b : Dispersion.band) =
+  (b.Dispersion.w_hi -. b.Dispersion.w_lo) /. float_of_int quad_points
+
+(* midpoint of quadrature cell [i] *)
+let quad_node (b : Dispersion.band) dw i =
+  b.Dispersion.w_lo +. ((float_of_int i +. 0.5) *. dw)
+
 (* integral over one band of spectral * f(w) *)
 let band_integral (b : Dispersion.band) f =
   let deg = Dispersion.degeneracy b.Dispersion.branch in
-  let dw = (b.Dispersion.w_hi -. b.Dispersion.w_lo) /. float_of_int quad_points in
+  let dw = quad_step b in
   let acc = ref 0. in
   for i = 0 to quad_points - 1 do
-    let w = b.Dispersion.w_lo +. ((float_of_int i +. 0.5) *. dw) in
+    let w = quad_node b dw i in
     acc := !acc +. (spectral b.Dispersion.branch w *. f w)
   done;
   deg *. !acc *. dw
@@ -60,6 +71,12 @@ let di0_exact tbl b t =
   let band = tbl.disp.Dispersion.bands.(b) in
   band_integral band (fun w -> df_bose w t) /. tbl.omega_total
 
+(* The table is [i0_exact]/[di0_exact] at every grid temperature, with the
+   temperature-independent work hoisted: each band's quadrature nodes and
+   spectral weights are computed once, and each (node, temperature) pair
+   takes one expm1 for both sums.  Every floating-point operation happens
+   in the same order as in the direct quadrature, so the entries are
+   bit-identical to it. *)
 let make ?(t_lo = 50.) ?(t_hi = 600.) ?(dt_grid = 0.5) ~omega_total disp =
   if t_hi <= t_lo || dt_grid <= 0. then invalid_arg "Equilibrium.make";
   let ntemps = int_of_float (ceil ((t_hi -. t_lo) /. dt_grid)) + 1 in
@@ -76,11 +93,29 @@ let make ?(t_lo = 50.) ?(t_hi = 600.) ?(dt_grid = 0.5) ~omega_total disp =
       di0 = Array.make_matrix nb ntemps 0.;
     }
   in
+  let hw = Array.make quad_points 0. and s = Array.make quad_points 0. in
   for b = 0 to nb - 1 do
+    let band = disp.Dispersion.bands.(b) in
+    let deg = Dispersion.degeneracy band.Dispersion.branch in
+    let dw = quad_step band in
+    for i = 0 to quad_points - 1 do
+      let w = quad_node band dw i in
+      hw.(i) <- Constants.hbar *. w;
+      s.(i) <- spectral band.Dispersion.branch w
+    done;
+    let i0_row = tbl.i0.(b) and di0_row = tbl.di0.(b) in
     for k = 0 to ntemps - 1 do
       let t = t_lo +. (float_of_int k *. dt_grid) in
-      tbl.i0.(b).(k) <- i0_exact tbl b t;
-      tbl.di0.(b).(k) <- di0_exact tbl b t
+      let kt = Constants.kb *. t in
+      let acc = ref 0. and dacc = ref 0. in
+      for i = 0 to quad_points - 1 do
+        let x = hw.(i) /. kt in
+        let e = Float.expm1 x in
+        acc := !acc +. (s.(i) *. f_of_e e);
+        dacc := !dacc +. (s.(i) *. df_of_e x t e)
+      done;
+      i0_row.(k) <- deg *. !acc *. dw /. omega_total;
+      di0_row.(k) <- deg *. !dacc *. dw /. omega_total
     done
   done;
   tbl

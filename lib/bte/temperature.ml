@@ -84,21 +84,30 @@ let emission_scale m t =
 
 exception No_convergence of float
 
-let newton_residual m residual ~guess =
+(* Newton solves and bisection fallbacks of the per-cell update; post_step
+   tallies them locally and publishes once per call *)
+let m_solves = Prt.Metrics.counter "bte.newton.solves"
+let m_bisections = Prt.Metrics.counter "bte.newton.bisections"
+
+(* [bisections] counts the solves that gave up on Newton *)
+let newton_tally m residual ~guess ~bisections =
   let t_lo = m.eqtab.Equilibrium.t_lo and t_hi = m.eqtab.Equilibrium.t_hi in
   let scale = emission_scale m (Float.max t_lo (Float.min t_hi guess)) in
   let rec go t iter =
-    if iter > m.max_newton then bisect t_lo t_hi 0
+    if iter > m.max_newton then fallback ()
     else begin
       let f, df = residual t in
       if Float.abs f <= m.tol *. scale then t
-      else if df <= 0. then bisect t_lo t_hi 0
+      else if df <= 0. then fallback ()
       else begin
         let t' = t -. (f /. df) in
         let t' = Float.max t_lo (Float.min t_hi t') in
         if Float.abs (t' -. t) < 1e-13 *. t then t' else go t' (iter + 1)
       end
     end
+  and fallback () =
+    incr bisections;
+    bisect t_lo t_hi 0
   and bisect lo hi iter =
     (* F is increasing in T (I0 and rates both increase), so bisection is
        safe whenever Newton stalls *)
@@ -112,6 +121,9 @@ let newton_residual m residual ~guess =
     end
   in
   go (Float.max t_lo (Float.min t_hi guess)) 0
+
+let newton_residual m residual ~guess =
+  newton_tally m residual ~guess ~bisections:(ref 0)
 
 let newton m ~jb ~guess =
   newton_residual m (residual_per_band m jb) ~guess
@@ -136,6 +148,11 @@ let post_step m (ctx : Finch.Problem.step_ctx) =
     match ctx.Finch.Problem.st_cells with
     | Some cs -> cs
     | None -> Array.init ncells (fun c -> c)
+  in
+  let bisections = ref 0 in
+  let publish () =
+    Prt.Metrics.add m_solves (Array.length cells);
+    Prt.Metrics.add m_bisections !bisections
   in
   let refresh cell t =
     Fvm.Field.set ft cell 0 t;
@@ -169,9 +186,12 @@ let post_step m (ctx : Finch.Problem.step_ctx) =
     Array.iter
       (fun cell ->
         let guess = Fvm.Field.get ft cell 0 in
-        let t = newton_scalar m ~g:g.(cell) ~guess in
+        let t =
+          newton_tally m (residual_scalar m g.(cell)) ~guess ~bisections
+        in
         refresh cell t)
-      cells
+      cells;
+    publish ()
   | Per_band ->
     (* per-cell, per-band angular integrals J_b for the owned slice *)
     let j = Array.make (ncells * nb) 0. in
@@ -194,6 +214,7 @@ let post_step m (ctx : Finch.Problem.step_ctx) =
       (fun cell ->
         let jb b = j.((cell * nb) + b) in
         let guess = Fvm.Field.get ft cell 0 in
-        let t = newton m ~jb ~guess in
+        let t = newton_tally m (residual_per_band m jb) ~guess ~bisections in
         refresh cell t)
-      cells
+      cells;
+    publish ()

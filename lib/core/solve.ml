@@ -3,7 +3,9 @@
 
 type outcome = {
   u : Fvm.Field.t;                  (* gathered unknown after the run *)
-  fields : (string * Fvm.Field.t) list; (* rank-0 view of all variables *)
+  (* every variable: rank 0's view, except the gathered unknown and, on
+     cell-parallel runs, every cell field gathered from its owners *)
+  fields : (string * Fvm.Field.t) list;
   breakdown : Prt.Breakdown.t;
   gpu : Target_gpu.result option;   (* present for GPU runs *)
   states : Lower.state array;
@@ -72,12 +74,21 @@ let solve_dispatch ?band_index ?post_io (p : Problem.t) =
     let r = Target_cpu.run_cell_parallel ~overlap:p.Problem.overlap p ~nranks:n in
     let u = Target_cpu.gather_unknown r in
     let st = Target_cpu.primary r in
+    (* each rank updates only its owned cells, so every cell-located
+       field is gathered from the owners, not just the unknown *)
+    let cell_located name =
+      match Problem.find_variable p name with
+      | Some v -> v.Entity.location = Entity.Cell
+      | None -> false
+    in
     {
       u;
       fields =
         List.map
           (fun (name, f) ->
-            if name = st.Lower.uvar.Entity.vname then name, u else name, f)
+            if name = st.Lower.uvar.Entity.vname then name, u
+            else if cell_located name then name, Target_cpu.gather_cells r name
+            else name, f)
           st.Lower.fields;
       breakdown = r.Target_cpu.breakdown;
       gpu = None;

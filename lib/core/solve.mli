@@ -3,7 +3,10 @@
 
 type outcome = {
   u : Fvm.Field.t;                      (** gathered unknown after the run *)
-  fields : (string * Fvm.Field.t) list; (** rank-0 view of all variables *)
+  fields : (string * Fvm.Field.t) list;
+      (** every variable: rank 0's view, except the gathered unknown and,
+          on cell-parallel runs, every cell field gathered from its
+          owners *)
   breakdown : Prt.Breakdown.t;
   gpu : Target_gpu.result option;       (** present for GPU runs *)
   states : Lower.state array;

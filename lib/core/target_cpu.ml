@@ -41,6 +41,20 @@ let gather_unknown r =
     r.states;
   out
 
+(* Reassemble a named field of a cell-partitioned run: every cell comes
+   from the rank that owns it, so fields the ranks update only on their
+   owned cells (the temperature, say) read as in a serial run. *)
+let gather_cells r name =
+  let field (st : Lower.state) = List.assoc name st.Lower.fields in
+  let out = Fvm.Field.copy (field r.states.(0)) in
+  Array.iter
+    (fun (st : Lower.state) ->
+      match st.Lower.info.Lower.owned_cells with
+      | Some cells -> Fvm.Field.blit_cells ~src:(field st) ~dst:out cells
+      | None -> invalid_arg "Target_cpu.gather_cells: rank owns no cell set")
+    r.states;
+  out
+
 (* ------------------------------------------------------------------ *)
 (* Serial                                                               *)
 (* ------------------------------------------------------------------ *)

@@ -20,6 +20,11 @@ val gather_unknown : result -> Fvm.Field.t
 (** Reassemble the unknown from the ranks' owned cells / component
     ranges. *)
 
+val gather_cells : result -> string -> Fvm.Field.t
+(** Reassemble the named field of a cell-partitioned run, taking each
+    cell from the rank that owns it. Raises [Invalid_argument] for a
+    rank without an owned cell set. *)
+
 val noop_allreduce : float array -> unit
 
 val step_serial : Lower.state -> unit

@@ -200,6 +200,29 @@ let test_energy_density_monotone () =
   check_bool "energy density grows with T" true
     (Bte.Equilibrium.energy_density tab 350. > Bte.Equilibrium.energy_density tab 250.)
 
+let test_equilibrium_table_bit_exact () =
+  (* the builder hoists the temperature-independent work out of the
+     quadrature, but every entry must still be the direct quadrature at
+     its grid temperature, bit for bit: any reassociation shows here *)
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (n_la, t_lo) ->
+      let d = Bte.Dispersion.make ~n_la in
+      let tab = Bte.Equilibrium.make ~omega_total:(2. *. Float.pi) ~t_lo ~t_hi:620. d in
+      for b = 0 to Bte.Dispersion.nbands d - 1 do
+        for k = 0 to tab.Bte.Equilibrium.ntemps - 1 do
+          let t = t_lo +. (float_of_int k *. tab.Bte.Equilibrium.dt_grid) in
+          let check what table exact =
+            if bits table.(b).(k) <> bits exact then
+              Alcotest.failf "n_la=%d t_lo=%g band %d T=%g: %s %h <> exact %h"
+                n_la t_lo b t what table.(b).(k) exact
+          in
+          check "i0" tab.Bte.Equilibrium.i0 (Bte.Equilibrium.i0_exact tab b t);
+          check "di0" tab.Bte.Equilibrium.di0 (Bte.Equilibrium.di0_exact tab b t)
+        done
+      done)
+    [ 4, 150.; 4, 50.; 8, 150.; 8, 50. ]
+
 (* ---------- temperature inversion ---------- *)
 
 let make_model () =
@@ -304,6 +327,8 @@ let suite =
       Alcotest.test_case "equilibrium interpolation" `Quick test_equilibrium_interp_accuracy;
       Alcotest.test_case "equilibrium derivative" `Quick test_equilibrium_derivative;
       Alcotest.test_case "energy density monotone" `Quick test_energy_density_monotone;
+      Alcotest.test_case "equilibrium table bit-exact" `Quick
+        test_equilibrium_table_bit_exact;
       Alcotest.test_case "newton roundtrip" `Quick test_newton_roundtrip;
       Alcotest.test_case "newton monotone" `Quick test_newton_monotone;
       Alcotest.test_case "newton from bad guess" `Quick test_newton_from_bad_guess;

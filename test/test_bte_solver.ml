@@ -64,7 +64,14 @@ let test_cell_parallel_matches_serial () =
     (fun n ->
       let _, o2 = solve_with (Finch.Config.Cpu (Finch.Config.Cell_parallel n)) in
       let d = field_diff o1 o2 "I" in
-      if d > 1e-13 then Alcotest.failf "cells %d: diff %g" n d)
+      if d > 1e-13 then Alcotest.failf "cells %d: diff %g" n d;
+      (* each rank updates only its owned cells, so the solution view must
+         gather T, Io and beta from the owners *)
+      List.iter
+        (fun name ->
+          let d = field_diff o1 o2 name in
+          if d > 0. then Alcotest.failf "cells %d: %s diff %g" n name d)
+        [ "T"; "Io"; "beta" ])
     [ 2; 4 ]
 
 let test_pool_executors_match_serial () =
@@ -410,6 +417,26 @@ let test_reference_throughput_positive () =
   let rate = Bte.Reference.measure_sweep_rate r ~repeats:3 in
   check_bool "positive throughput" true (rate > 1e4)
 
+let test_newton_counts_deterministic () =
+  (* the temperature update's Newton tallies are a pure function of the
+     solve: two identical serial hotspot solves report the same counts,
+     one solve per cell per step *)
+  let solves = Prt.Metrics.counter "bte.newton.solves"
+  and bisections = Prt.Metrics.counter "bte.newton.bisections" in
+  let counts () =
+    let s0 = Prt.Metrics.value solves and b0 = Prt.Metrics.value bisections in
+    ignore (solve_with (Finch.Config.Cpu Finch.Config.Serial));
+    Prt.Metrics.value solves - s0, Prt.Metrics.value bisections - b0
+  in
+  Prt.Metrics.enable ();
+  let s1, b1 = counts () in
+  let s2, b2 = counts () in
+  Prt.Metrics.disable ();
+  Alcotest.(check int) "one solve per cell per step"
+    (tiny.Bte.Setup.nx * tiny.Bte.Setup.ny * tiny.Bte.Setup.nsteps) s1;
+  check_bool "bisections within solves" true (b1 >= 0 && b1 <= s1);
+  Alcotest.(check (pair int int)) "identical counts" (s1, b1) (s2, b2)
+
 let test_diag_stats () =
   let built, o = solve_with (Finch.Config.Cpu Finch.Config.Serial) in
   let ft = Finch.Solve.field o "T" in
@@ -487,4 +514,6 @@ let suite =
       Alcotest.test_case "reference throughput" `Quick
         test_reference_throughput_positive;
       Alcotest.test_case "diagnostics" `Quick test_diag_stats;
+      Alcotest.test_case "newton counts deterministic" `Quick
+        test_newton_counts_deterministic;
     ] )
