@@ -47,14 +47,8 @@ let opt_t =
 
 let eval_t =
   Arg.(
-    value
-    & opt
-        (enum
-           [ "closure", Finch.Config.Closure; "tape", Finch.Config.Tape;
-             "native", Finch.Config.Native ])
-        Finch.Config.Closure
-    & info [ "eval" ] ~docv:"MODE"
-        ~doc:"RHS evaluator: closure, tape or native.")
+    value & opt string "closure"
+    & info [ "eval" ] ~docv:"MODE" ~doc:"RHS evaluator: closure or native.")
 
 let nx_t =
   Arg.(value & opt int 12 & info [ "nx" ] ~docv:"N" ~doc:"Cells per side.")
@@ -184,7 +178,7 @@ let pass_json (p : pass) extra =
        "completed", Finch.Json.Num (float_of_int p.completed) ]
      @ extra)
 
-let serve_cmd requests repeat scenario backend opt eval_mode nx ndirs nbands
+let serve_cmd requests repeat scenario backend opt eval nx ndirs nbands
     nsteps max_batch json_path trace_path =
   Bte.Setup.register_scenarios ();
   Prt.Metrics.enable ();
@@ -199,6 +193,13 @@ let serve_cmd requests repeat scenario backend opt eval_mode nx ndirs nbands
   let opt_level =
     match Finch.Config.opt_level_of_string opt with
     | Ok l -> l
+    | Error e ->
+      Printf.eprintf "error: %s\n" e;
+      exit 2
+  in
+  let eval_mode =
+    match Finch.Config.eval_mode_of_string eval with
+    | Ok m -> m
     | Error e ->
       Printf.eprintf "error: %s\n" e;
       exit 2

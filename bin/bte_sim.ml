@@ -33,7 +33,7 @@ let scenario_t =
 let backend_t =
   Arg.(
     value
-    & opt (some string) None
+    & opt string "serial"
     & info [ "backend" ] ~docv:"SPEC"
         ~doc:
           "Execution backend: serial, threads:N (persistent domain pool), \
@@ -41,15 +41,6 @@ let backend_t =
            gpu[:NAME[:RANKS|:GxR]] (simulated device, default a6000), or \
            auto (the tuner searches backend x opt x overlap x grid and \
            picks the plan itself; see docs/TUNER.md). Case-insensitive.")
-
-let target_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "target" ] ~docv:"SPEC"
-        ~doc:
-          "Deprecated alias for $(b,--backend); also accepts the legacy \
-           hybrid:R:D spelling.")
 
 let overlap_t =
   Arg.(
@@ -75,18 +66,11 @@ let opt_t =
 
 let eval_mode_t =
   Arg.(
-    value
-    & opt
-        (enum
-           [ "tape", Finch.Config.Tape; "closure", Finch.Config.Closure;
-             "native", Finch.Config.Native ])
-        Finch.Config.Closure
+    value & opt string "closure"
     & info [ "eval" ] ~docv:"MODE"
         ~doc:
           "Right-hand-side evaluator: closure (plain closure tree, the \
-           default), tape (register tape with CSE and invariant \
-           hoisting; fewer executed ops, with per-evaluation cache \
-           bookkeeping) or native (generated OCaml compiled to a shared \
+           default) or native (generated OCaml compiled to a shared \
            object and dynlinked, behind a content-hash cache; falls back \
            to closure with a warning when unavailable — see \
            docs/CODEGEN.md).")
@@ -214,19 +198,6 @@ let finish_observability ~trace ~metrics =
 
 (* ---------- run ---------- *)
 
-(* [--backend] wins; [--target] is kept as a warn-once alias so existing
-   scripts keep working. *)
-let resolve_backend ~backend ~target =
-  match backend, target with
-  | Some spec, other ->
-    if other <> None then
-      prerr_endline "warning: both --backend and --target given; using --backend";
-    spec
-  | None, Some spec ->
-    prerr_endline "warning: --target is deprecated; use --backend";
-    spec
-  | None, None -> "serial"
-
 (* ---------- tuner plumbing shared by [run] and [request] ---------- *)
 
 let verdict_text = function
@@ -286,27 +257,12 @@ let tune_request ~explain ~measure_steps (req : Finch.Solve_request.t) =
       end
       else req, None
 
-(* Post-solve reporting shared by [run] and [request]: tape statistics,
-   temperature stats, phase breakdown, GPU perf model and optional CSV. *)
+(* Post-solve reporting shared by [run] and [request]: temperature stats,
+   phase breakdown, GPU perf model and optional CSV. *)
 let report_result ~t_ambient ~csv (prep : Finch.prepared)
     (res : Finch.Solve_result.t) =
   Printf.printf "wall time %.2f s\n" res.Finch.Solve_result.wall_s;
   let outcome = res.Finch.Solve_result.outcome in
-  (match outcome.Finch.Solve.states.(0).Finch.Lower.tapes with
-   | [] -> ()
-   | tapes ->
-     List.iter
-       (fun (name, t) ->
-         let runs = Finch.Eval.tape_runs t in
-         if runs > 0 then
-           Printf.printf "tape %-6s: %3d ops, executed %.1f/run (%.0f%% skipped)\n"
-             name (Finch.Eval.tape_length t)
-             (float_of_int (Finch.Eval.tape_executed t) /. float_of_int runs)
-             (100.
-              *. (1.
-                  -. float_of_int (Finch.Eval.tape_executed t)
-                     /. float_of_int (runs * Finch.Eval.tape_length t))))
-       tapes);
   let ft = res.Finch.Solve_result.solution in
   let mesh = Finch.Problem.mesh_exn prep.Finch.pr_problem in
   let stats = Bte.Diag.temperature_stats mesh ft ~t_ambient in
@@ -413,8 +369,8 @@ let solve_request ?tune_decision ~t_ambient ~csv ~trace ~metrics ~no_check
        finish_observability ~trace ~metrics;
        finish_sanitize ~sanitize ())
 
-let run_cmd scenario nx ny ndirs nbands nsteps backend target overlap opt
-    eval_mode codegen_cache_dir explain_plan tune_measure tune_cache_dir csv
+let run_cmd scenario nx ny ndirs nbands nsteps backend overlap opt
+    eval codegen_cache_dir explain_plan tune_measure tune_cache_dir csv
     paper_scale trace metrics no_check sanitize =
   Bte.Setup.register_scenarios ();
   let opt_level =
@@ -424,8 +380,15 @@ let run_cmd scenario nx ny ndirs nbands nsteps backend target overlap opt
       Printf.eprintf "error: %s\n" e;
       exit 2
   in
+  let eval_mode =
+    match Finch.Config.eval_mode_of_string eval with
+    | Ok m -> m
+    | Error e ->
+      Printf.eprintf "error: %s\n" e;
+      exit 2
+  in
   let tgt =
-    match Finch.Config.target_of_string (resolve_backend ~backend ~target) with
+    match Finch.Config.target_of_string backend with
     | Ok t -> t
     | Error e ->
       Printf.eprintf "error: %s\n" e;
@@ -476,7 +439,7 @@ let run_cmd scenario nx ny ndirs nbands nsteps backend target overlap opt
 let run_term =
   Term.(
     const run_cmd $ scenario_t $ nx_t $ ny_t $ ndirs_t $ nbands_t $ nsteps_t
-    $ backend_t $ target_t $ overlap_t $ opt_t $ eval_mode_t
+    $ backend_t $ overlap_t $ opt_t $ eval_mode_t
     $ codegen_cache_dir_t $ explain_plan_t $ tune_measure_t $ tune_cache_dir_t
     $ csv_t $ paper_scale_t $ trace_t $ metrics_t $ no_check_t $ sanitize_t)
 

@@ -42,13 +42,6 @@ let cache_dir () =
     | Some d -> d
     | None -> Filename.concat (Sys.getcwd ()) (Filename.concat "_build" "finch_cache"))
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    let parent = Filename.dirname d in
-    if parent <> d then mkdir_p parent;
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* Directories holding finch_ci.cmi/.cmx, which generated modules compile
    against: an explicit override, or dune's object directories located by
    walking up from the running executable (falling back to the build tree
@@ -107,18 +100,6 @@ let clear_memo () = Hashtbl.reset memo
 
 let post_io_ref : Finch.Dataflow.callback_io option ref = ref None
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
-
 let load_cmxs cmxs =
   Dynlink.loadfile_private cmxs;
   match Finch_ci.take () with
@@ -129,7 +110,7 @@ let compile_cmxs ~src ~ml ~cmxs ~log =
   match iface_include_dirs () with
   | None -> Error "cannot locate the Finch_ci interface (set FINCH_CI_DIR)"
   | Some incs ->
-    write_file ml src;
+    Prt.Store.write_file ml src;
     let cmd =
       Printf.sprintf "ocamlfind ocamlopt -shared %s -o %s %s > %s 2>&1"
         (String.concat " " (List.map (fun d -> "-I " ^ Filename.quote d) incs))
@@ -140,7 +121,7 @@ let compile_cmxs ~src ~ml ~cmxs ~log =
     Prt.Metrics.add m_compile_ns
       (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
     if status <> 0 then begin
-      let tail = try read_file log with _ -> "" in
+      let tail = try Prt.Store.read_file log with _ -> "" in
       Error
         (Printf.sprintf "ocamlfind ocamlopt failed (status %d): %s" status
            (String.trim tail))
@@ -157,7 +138,7 @@ let maker_for_key ~key ~src =
     Ok maker
   | None ->
     let dir = cache_dir () in
-    mkdir_p dir;
+    Prt.Store.mkdir_p dir;
     let base = Filename.concat dir ("finch_kernel_" ^ key) in
     let cmxs = base ^ ".cmxs" in
     let fresh_compile () =

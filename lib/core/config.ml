@@ -102,11 +102,6 @@ let target_of_string s =
       | Some r, Some d -> Ok (Cpu (Hybrid (r, d)))
       | _ -> fail ())
     | _ -> fail ())
-  | [ "hybrid"; r; d ] -> (
-    (* legacy spelling hybrid:R:D, kept as a parse alias *)
-    match pos_int r, pos_int d with
-    | Some r, Some d -> Ok (Cpu (Hybrid (r, d)))
-    | _ -> fail ())
   | [ "gpu" ] -> Ok (Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks = 1 })
   | [ "gpu"; name ] -> (
     match spec_of name with
@@ -131,17 +126,18 @@ let target_of_string s =
   | _ -> fail ()
 
 (* How the equation's right-hand sides are executed: as a compiled closure
-   tree, as a flat register tape with common-subexpression elimination
-   and loop-invariant caching (see Eval), or as generated OCaml compiled
-   to a shared object and dynlinked (see lib/codegen; falls back to
-   closures with a warning when emission or the toolchain is
-   unavailable). *)
-type eval_mode = Closure | Tape | Native
+   tree (see Eval), or as generated OCaml compiled to a shared object and
+   dynlinked (see lib/codegen; falls back to closures with a warning when
+   emission or the toolchain is unavailable). *)
+type eval_mode = Closure | Native
 
-let eval_mode_name = function
-  | Closure -> "closure"
-  | Tape -> "tape"
-  | Native -> "native"
+let eval_mode_name = function Closure -> "closure" | Native -> "native"
+
+let eval_mode_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "closure" -> Ok Closure
+  | "native" -> Ok Native
+  | _ -> Error (Printf.sprintf "bad eval mode %S (expected closure|native)" s)
 
 (* Optimization level of the IR middle end (see Opt in lib/opt) and of
    the matching executor schedules:

@@ -55,18 +55,23 @@ val target_of_string : string -> (target, string) result
 (** Parse a backend spec
     [auto|serial|threads:N|bands:N|cells:N|hybrid:RxD|gpu[:NAME[:RANKS|:GxR]]]
     (case-insensitive; GPU names as accepted by {!Gpu_sim.Spec.by_name},
-    defaulting to [a6000] with one device and one rank; the legacy
-    spellings [hybrid:R:D] and [gpu:NAME:1xR] are accepted as aliases).
+    defaulting to [a6000] with one device and one rank; [gpu:NAME:1xR]
+    is the one-device case of [GxR] and parses as [gpu:NAME:R]).
     [Error msg] describes the expected grammar on malformed input. *)
 
-(** How compiled right-hand sides are executed: closure tree, flat
-    register tape with CSE and loop-invariant caching, or generated
-    OCaml compiled and dynlinked behind a content-hash cache
-    (docs/CODEGEN.md; falls back to closures with a warning when the
-    toolchain or emission is unavailable). *)
-type eval_mode = Closure | Tape | Native
+(** How compiled right-hand sides are executed: closure tree (the
+    reference evaluator), or generated OCaml compiled and dynlinked
+    behind a content-hash cache (docs/CODEGEN.md; falls back to closures
+    with a warning when the toolchain or emission is unavailable). *)
+type eval_mode = Closure | Native
 
 val eval_mode_name : eval_mode -> string
+(** ["closure"] or ["native"] — the CLI and JSON spelling of a mode. *)
+
+val eval_mode_of_string : string -> (eval_mode, string) result
+(** Parse ["closure"|"native"] (case-insensitive, surrounding blanks
+    ignored).  [Error msg] describes the expected grammar on malformed
+    input. *)
 
 (** Optimization level of the IR middle end and the matching executor
     schedules: [O0] naive lowering (one pool region / kernel launch per

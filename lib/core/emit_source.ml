@@ -357,7 +357,7 @@ let to_ocaml (st : Lower.state) : ocaml_emission =
        | Expr.Eq -> Printf.sprintf "(if Float.equal %s %s then 1. else 0.)" sa sb
        | Expr.Ne -> Printf.sprintf "(if not (Float.equal %s %s) then 1. else 0.)" sa sb)
     | Expr.Cond (c, t, el) ->
-      (* lazy, like the closure (the tape is the eager one) *)
+      (* lazy, like the closure *)
       Printf.sprintf "(if %s <> 0. then %s else %s)" (ex ~scope ~face c)
         (ex ~scope ~face t) (ex ~scope ~face el)
   and sym ~scope ~face s =

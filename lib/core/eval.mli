@@ -22,16 +22,11 @@ type env = {
   mutable ghost : (string -> int -> float) option;
     (** boundary ghost accessor: variable name -> component -> value *)
   ivals : (string * int ref) list; (** current 0-based index values *)
-  mutable epoch : int;
-    (** traversal counter; executors bump it once per DOF traversal so tape
-        evaluation knows mutable inputs (fields, dt, time) may have changed *)
 }
 
 val make_env :
   mesh:Fvm.Mesh.t -> dt:float ref -> time:float ref ->
   index_names:string list -> env
-
-val bump_epoch : env -> unit
 
 val ival : env -> string -> int ref
 (** The mutable cell holding an index's current value; raises
@@ -52,46 +47,8 @@ val compile : bindings -> Finch_symbolic.Expr.t -> compiled
 (** Raises {!Compile_error} on unknown entities, unresolved operator
     calls, or misused indexed entities. *)
 
-(** {2 Tape compilation}
-
-    [compile_tape] lowers the expression to a flat register tape (SSA op
-    array evaluated over a preallocated float array) with
-    common-subexpression elimination; at run time, ops whose inputs
-    (epoch / cell / index variables) did not change since the previous
-    call keep their register value, hoisting loop-invariant subterms out
-    of the inner loops.  Results are bit-identical to the closure
-    evaluator.  A tape holds mutable cache state: use one tape per
-    state/env, not shared across domains. *)
-
-type tape
-
-val compile_tape : bindings -> Finch_symbolic.Expr.t -> tape
-(** Raises {!Compile_error} like {!compile}. *)
-
-val tape_run : tape -> env -> float
-
-val tape_compiled : tape -> compiled
-(** The tape as a drop-in [compiled] closure. *)
-
-val tape_length : tape -> int
-(** Total ops in the tape (post-CSE). *)
-
-val tape_runs : tape -> int
-(** Number of [tape_run] calls since the last reset. *)
-
-val tape_executed : tape -> int
-(** Cumulative ops actually executed (cache misses) since the last
-    reset; [tape_executed / (tape_runs * tape_length)] is the dynamic
-    evaluation ratio. *)
-
-val tape_reset_stats : tape -> unit
-
 type cost = { flops : float; loads : int }
 
 val cost : Finch_symbolic.Expr.t -> cost
 (** Static per-evaluation FLOP and load-count estimate, consumed by the
     GPU roofline model. *)
-
-val tape_cost : tape -> cost
-(** Post-CSE static cost of one full tape evaluation, with the same
-    per-op weights as {!cost}. *)

@@ -59,9 +59,6 @@ type state = {
   loops : loop_entry list;
   (* -d(rvol)/du, compiled lazily (used by the point-implicit stepper) *)
   rvol_du_f : Eval.compiled Lazy.t;
-  (* tape handles behind rvol_f/rsurf_f when eval_mode = Tape, for op
-     statistics; empty in closure mode *)
-  tapes : (string * Eval.tape) list;
   (* generated entry points, installed by the native-codegen hook when
      eval_mode = Native and emission/compilation succeeded *)
   mutable native : native_entry option;
@@ -91,7 +88,7 @@ let attach_native st =
         "finch: warning: eval mode is native but no codegen backend is \
          installed; falling back to the closure interpreter"
     end
-  | Config.Closure | Config.Tape -> ()
+  | Config.Closure -> ()
 
 let field st name =
   match List.assoc_opt name st.fields with
@@ -179,20 +176,12 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
   in
   let index_names = List.map (fun i -> i.Entity.iname) p.Problem.indices in
   let env = Eval.make_env ~mesh ~dt ~time ~index_names in
-  let compile_rhs name e =
-    match p.Problem.eval_mode with
-    (* Native compiles the closures too: they are the fallback and serve
-       the boundary-term evaluation the generated code calls back into *)
-    | Config.Closure | Config.Native -> Eval.compile bindings e, None
-    | Config.Tape ->
-      let t = Eval.compile_tape bindings e in
-      Eval.tape_compiled t, Some (name, t)
-  in
-  let rvol_f, rvol_t = compile_rhs "rvol" eq.Transform.rvol in
-  let rsurf_f, rsurf_t = compile_rhs "rsurf" eq.Transform.rsurf in
-  let tapes = List.filter_map Fun.id [ rvol_t; rsurf_t ] in
+  (* Native compiles the closures too: they are the fallback and serve
+     the boundary-term evaluation the generated code calls back into *)
+  let rvol_f = Eval.compile bindings eq.Transform.rvol in
+  let rsurf_f = Eval.compile bindings eq.Transform.rsurf in
   let rvol_du_f =
-    lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization eq)))
+    lazy (Eval.compile bindings (Transform.rvol_linearization eq))
   in
   (* component of the unknown from current index values *)
   let ucomp =
@@ -276,7 +265,6 @@ let rec build ?(info = serial_rankinfo) ?share_with ?(private_clock = false)
       breakdown = Prt.Breakdown.zero ();
       loops;
       rvol_du_f;
-      tapes;
       native = None;
     }
   in
@@ -313,9 +301,6 @@ let index_range st name extent =
    cell).  [f] is called with loop state already set in [st.env]. *)
 let iterate_dofs_cells st ~cells (f : unit -> unit) =
   let env = st.env in
-  (* mutable inputs (fields, dt, time) may have changed since the last
-     traversal: invalidate tape caches *)
-  Eval.bump_epoch env;
   let rec go = function
     | [] -> f ()
     | Over_cells :: rest ->
@@ -511,16 +496,8 @@ let rebind (base : state) ~fields ~u_new =
   in
   let index_names = List.map (fun i -> i.Entity.iname) p.Problem.indices in
   let env = Eval.make_env ~mesh ~dt:base.dt ~time:base.time ~index_names in
-  let compile_rhs name e =
-    match p.Problem.eval_mode with
-    | Config.Closure | Config.Native -> Eval.compile bindings e, None
-    | Config.Tape ->
-      let t = Eval.compile_tape bindings e in
-      Eval.tape_compiled t, Some (name, t)
-  in
-  let rvol_f, rvol_t = compile_rhs "rvol" base.eq.Transform.rvol in
-  let rsurf_f, rsurf_t = compile_rhs "rsurf" base.eq.Transform.rsurf in
-  let tapes = List.filter_map Fun.id [ rvol_t; rsurf_t ] in
+  let rvol_f = Eval.compile bindings base.eq.Transform.rvol in
+  let rsurf_f = Eval.compile bindings base.eq.Transform.rsurf in
   let ucomp =
     let pieces =
       List.map
@@ -542,8 +519,8 @@ let rebind (base : state) ~fields ~u_new =
       rvol_f;
       rsurf_f;
       ucomp;
-      rvol_du_f = lazy (fst (compile_rhs "rvol_du" (Transform.rvol_linearization base.eq)));
-      tapes;
+      rvol_du_f =
+        lazy (Eval.compile bindings (Transform.rvol_linearization base.eq));
       (* own accounting: sharing base's mutable breakdown record would make
          aggregators that sum both states double-count every phase *)
       breakdown = Prt.Breakdown.zero ();
@@ -584,7 +561,6 @@ and dof_rhs_interior_interp st =
    and component into [into].  Used by the hybrid target's CPU side. *)
 let boundary_contributions st ~into =
   let env = st.env in
-  Eval.bump_epoch env; (* fields changed since the last traversal *)
   let mesh = st.mesh in
   let dt = !(st.dt) in
   let ncomp = Fvm.Field.ncomp st.u in

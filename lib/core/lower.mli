@@ -57,9 +57,6 @@ type state = {
   loops : loop_entry list;
   rvol_du_f : Eval.compiled Lazy.t;
     (** -d(rvol)/du, compiled lazily for the point-implicit stepper *)
-  tapes : (string * Eval.tape) list;
-    (** tape handles behind rvol_f/rsurf_f ("rvol"/"rsurf") when the
-        problem's eval_mode is Tape, for op statistics; empty otherwise *)
   mutable native : native_entry option;
     (** generated entry points, set by the {!native_hook} when the
         problem's eval_mode is Native and codegen succeeded *)

@@ -87,8 +87,8 @@ type t = {
   mutable equations : Transform.equation list;
   mutable loop_order : string list option; (* e.g. ["b"; "elements"; "d"] *)
   mutable eval_mode : Config.eval_mode;
-    (* how lowered right-hand sides execute; Tape (the optimizing
-       register-tape evaluator) unless overridden *)
+    (* how lowered right-hand sides execute; Closure (the reference
+       closure tree) unless overridden *)
   mutable overlap : bool;
     (* overlap communication with computation where the target has
        point-to-point messages or transfers (cell-parallel halo

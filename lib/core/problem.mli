@@ -111,8 +111,8 @@ val use_cuda :
 
 val set_target : t -> Config.target -> unit
 
-(** Select the right-hand-side evaluator: the optimizing register tape
-    (default) or the plain closure tree. *)
+(** Select the right-hand-side evaluator: the closure tree (default, the
+    reference) or generated native code. *)
 val set_eval_mode : t -> Config.eval_mode -> unit
 
 val set_overlap : t -> bool -> unit

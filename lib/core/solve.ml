@@ -3,8 +3,9 @@
 
 type outcome = {
   u : Fvm.Field.t;                  (* gathered unknown after the run *)
-  (* every variable: rank 0's view, except the gathered unknown and, on
-     cell-parallel runs, every cell field gathered from its owners *)
+  (* every variable as a serial run would hold it: band-indexed fields of
+     band-split runs and cell fields of cell-parallel runs are gathered
+     from their owning ranks *)
   fields : (string * Fvm.Field.t) list;
   breakdown : Prt.Breakdown.t;
   gpu : Target_gpu.result option;   (* present for GPU runs *)
@@ -19,111 +20,52 @@ let default_band_index (p : Problem.t) =
   | i :: _ -> i.Entity.iname
   | [] -> raise (Problem.Problem_error "band-parallel run with no indices")
 
-(* Post-solve metrics: steps taken and, for tape-mode runs, the dynamic
-   op savings derivable from the tape counters (recorded once here rather
-   than per-DOF in the hot path). *)
+(* Post-solve metrics: steps taken (recorded once here rather than per
+   step in the hot path). *)
 let m_steps = Prt.Metrics.counter "solve.steps"
-let m_tape_skipped = Prt.Metrics.counter "tape.ops_skipped"
 
-let record_solve_metrics (p : Problem.t) states =
-  if Prt.Metrics.enabled () then begin
-    Prt.Metrics.add m_steps p.Problem.nsteps;
-    Array.iter
-      (fun (st : Lower.state) ->
-        List.iter
-          (fun (_, t) ->
-            let skipped =
-              (Eval.tape_runs t * Eval.tape_length t) - Eval.tape_executed t
-            in
-            Prt.Metrics.add m_tape_skipped skipped)
-          st.Lower.tapes)
-      states
-  end
+(* Package a CPU run, passing every field of rank 0 through [gather] so
+   partitioned runs can reassemble what the ranks own. *)
+let cpu_outcome ?(gather = fun _ f -> f) (r : Target_cpu.result) =
+  let st = Target_cpu.primary r in
+  let fields = List.map (fun (name, f) -> name, gather name f) st.Lower.fields in
+  {
+    u = List.assoc st.Lower.uvar.Entity.vname fields;
+    fields;
+    breakdown = r.Target_cpu.breakdown;
+    gpu = None;
+    states = r.Target_cpu.states;
+  }
 
 let solve_dispatch ?band_index ?post_io (p : Problem.t) =
-  match p.Problem.target with
-  | Config.Cpu Config.Serial ->
-    let r = Target_cpu.run_serial p in
-    let st = Target_cpu.primary r in
-    {
-      u = st.Lower.u;
-      fields = st.Lower.fields;
-      breakdown = r.Target_cpu.breakdown;
-      gpu = None;
-      states = r.Target_cpu.states;
-    }
-  | Config.Cpu (Config.Band_parallel n) ->
+  let band_split run =
     let index =
       match band_index with Some i -> i | None -> default_band_index p
     in
-    let r = Target_cpu.run_band_parallel p ~index ~nranks:n in
-    let u = Target_cpu.gather_unknown r in
-    let st = Target_cpu.primary r in
-    {
-      u;
-      fields =
-        List.map
-          (fun (name, f) ->
-            if name = st.Lower.uvar.Entity.vname then name, u else name, f)
-          st.Lower.fields;
-      breakdown = r.Target_cpu.breakdown;
-      gpu = None;
-      states = r.Target_cpu.states;
-    }
+    let r = run ~index in
+    cpu_outcome ~gather:(fun name _ -> Target_cpu.gather_bands r ~index name) r
+  in
+  match p.Problem.target with
+  | Config.Cpu Config.Serial -> cpu_outcome (Target_cpu.run_serial p)
+  | Config.Cpu (Config.Band_parallel n) ->
+    band_split (Target_cpu.run_band_parallel p ~nranks:n)
+  | Config.Cpu (Config.Hybrid (nranks, ndomains)) ->
+    band_split (Target_cpu.run_hybrid p ~nranks ~ndomains)
   | Config.Cpu (Config.Cell_parallel n) ->
     let r = Target_cpu.run_cell_parallel ~overlap:p.Problem.overlap p ~nranks:n in
-    let u = Target_cpu.gather_unknown r in
-    let st = Target_cpu.primary r in
     (* each rank updates only its owned cells, so every cell-located
-       field is gathered from the owners, not just the unknown *)
+       field is gathered from the owners *)
     let cell_located name =
       match Problem.find_variable p name with
       | Some v -> v.Entity.location = Entity.Cell
       | None -> false
     in
-    {
-      u;
-      fields =
-        List.map
-          (fun (name, f) ->
-            if name = st.Lower.uvar.Entity.vname then name, u
-            else if cell_located name then name, Target_cpu.gather_cells r name
-            else name, f)
-          st.Lower.fields;
-      breakdown = r.Target_cpu.breakdown;
-      gpu = None;
-      states = r.Target_cpu.states;
-    }
+    cpu_outcome r ~gather:(fun name f ->
+        if cell_located name then Target_cpu.gather_cells r name else f)
   | Config.Cpu (Config.Threaded n) ->
-    (* workers share the base state's fields, so rank 0 already holds the
-       complete unknown *)
-    let r = Target_cpu.run_threaded ?post_io p ~ndomains:n in
-    let st = Target_cpu.primary r in
-    {
-      u = st.Lower.u;
-      fields = st.Lower.fields;
-      breakdown = r.Target_cpu.breakdown;
-      gpu = None;
-      states = r.Target_cpu.states;
-    }
-  | Config.Cpu (Config.Hybrid (nranks, ndomains)) ->
-    let index =
-      match band_index with Some i -> i | None -> default_band_index p
-    in
-    let r = Target_cpu.run_hybrid p ~index ~nranks ~ndomains in
-    let u = Target_cpu.gather_unknown r in
-    let st = Target_cpu.primary r in
-    {
-      u;
-      fields =
-        List.map
-          (fun (name, f) ->
-            if name = st.Lower.uvar.Entity.vname then name, u else name, f)
-          st.Lower.fields;
-      breakdown = r.Target_cpu.breakdown;
-      gpu = None;
-      states = r.Target_cpu.states;
-    }
+    (* workers share the base state's fields, so rank 0 already holds
+       every field whole *)
+    cpu_outcome (Target_cpu.run_threaded ?post_io p ~ndomains:n)
   | Config.Gpu _ ->
     let r = Target_gpu.run ?post_io p in
     let st = r.Target_gpu.state in
@@ -142,7 +84,7 @@ let solve ?band_index ?post_io (p : Problem.t) =
     Prt.Trace.span ~cat:"solve" Prt.Trace.main "solve" (fun () ->
         solve_dispatch ?band_index ?post_io p)
   in
-  record_solve_metrics p outcome.states;
+  Prt.Metrics.add m_steps p.Problem.nsteps;
   outcome
 
 let field outcome name =

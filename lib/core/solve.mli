@@ -4,9 +4,11 @@
 type outcome = {
   u : Fvm.Field.t;                      (** gathered unknown after the run *)
   fields : (string * Fvm.Field.t) list;
-      (** every variable: rank 0's view, except the gathered unknown and,
-          on cell-parallel runs, every cell field gathered from its
-          owners *)
+      (** every variable as a serial run would hold it: on band-split
+          runs ([bands:N], [hybrid:RxD]) each band-indexed field is
+          gathered from the ranks owning its bands, on cell-parallel runs
+          every cell field from its owning ranks; rank 0's view
+          otherwise *)
   breakdown : Prt.Breakdown.t;
   gpu : Target_gpu.result option;       (** present for GPU runs *)
   states : Lower.state array;

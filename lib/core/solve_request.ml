@@ -83,13 +83,6 @@ let to_json r =
   in
   Json.Obj (base @ tail)
 
-let eval_mode_of_string s =
-  match String.lowercase_ascii s with
-  | "closure" -> Ok Config.Closure
-  | "tape" -> Ok Config.Tape
-  | "native" -> Ok Config.Native
-  | _ -> Error (Printf.sprintf "bad eval mode %S (closure|tape|native)" s)
-
 let of_json j =
   let ( let* ) = Result.bind in
   match j with
@@ -132,7 +125,7 @@ let of_json j =
     let* eval_mode =
       match str_field "eval" with
       | None -> Ok d.eval_mode
-      | Some r -> Result.bind r eval_mode_of_string
+      | Some r -> Result.bind r Config.eval_mode_of_string
     in
     let* overlap =
       match Json.member "overlap" j with

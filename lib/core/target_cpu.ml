@@ -16,29 +16,39 @@ type result = {
 
 let primary r = r.states.(0)
 
-(* Gather a variable's field across ranks into one full field.  For
-   band-partitioned runs each rank owns a component range of the unknown;
-   for cell-partitioned runs each rank owns a cell range.  Non-unknown
-   variables are taken from rank 0 (every rank computes them fully). *)
-let gather_unknown r =
+(* Reassemble a named field of a band-partitioned run: each component
+   whose [index] value lies in a rank's owned range comes from that rank,
+   so fields the ranks refresh only for their own bands (the unknown, the
+   per-band equilibrium intensity) read as in a serial run.  Fields not
+   indexed by [index] are taken from rank 0, which computes them whole. *)
+let gather_bands r ~index name =
   let st0 = r.states.(0) in
-  let out = Fvm.Field.copy st0.Lower.u in
-  Array.iter
-    (fun (st : Lower.state) ->
-      let u = st.Lower.u in
-      match st.Lower.info.Lower.owned_cells with
-      | Some cells -> Fvm.Field.blit_cells ~src:u ~dst:out cells
-      | None ->
-        (* band-partitioned: copy the owned component ranges *)
-        let ranges = st.Lower.info.Lower.index_ranges in
-        if ranges = [] then ()
-        else
-          (* enumerate owned comps by iterating the state's own loops *)
-          Lower.iterate_dofs st (fun () ->
-              let cell = st.Lower.env.Eval.cell in
-              let c = st.Lower.ucomp () in
-              Fvm.Field.set out cell c (Fvm.Field.get u cell c)))
-    r.states;
+  let field (st : Lower.state) = List.assoc name st.Lower.fields in
+  let out = Fvm.Field.copy (field st0) in
+  let p = st0.Lower.p in
+  (match Problem.find_variable p name, Problem.find_index p index with
+   | Some v, Some idx ->
+     let extent = Entity.index_extent idx in
+     List.iter
+       (fun (i, _lo, stride) ->
+         if i = index then
+           Array.iter
+             (fun (st : Lower.state) ->
+               match List.assoc_opt index st.Lower.info.Lower.index_ranges with
+               | None ->
+                 invalid_arg "Target_cpu.gather_bands: rank owns no band range"
+               | Some (off, len) ->
+                 let src = field st in
+                 for comp = 0 to Fvm.Field.ncomp out - 1 do
+                   let band = comp / stride mod extent in
+                   if band >= off && band < off + len then
+                     for cell = 0 to Fvm.Field.ncells out - 1 do
+                       Fvm.Field.set out cell comp (Fvm.Field.get src cell comp)
+                     done
+                 done)
+             r.states)
+       (Lower.layout_of_var v)
+   | _ -> ());
   out
 
 (* Reassemble a named field of a cell-partitioned run: every cell comes
@@ -290,7 +300,7 @@ let pool_step pool (workers : Lower.state array) =
       Prt.Breakdown.timed ~track b Prt.Breakdown.Intensity (fun () -> Lower.commit st))
 
 (* Persistent-pool executor: domains are spawned once per solve and parked
-   between regions, not respawned twice per timestep. *)
+   between regions. *)
 let run_threaded_classic (p : Problem.t) ~ndomains =
   (* base state: full ownership, runs pre/post-step and initialization *)
   let base = Lower.build p in
@@ -466,38 +476,6 @@ let run_threaded ?post_io (p : Problem.t) ~ndomains =
   if ndomains < 1 then raise (Target_error "run_threaded: ndomains < 1");
   if fused_schedule_ok ?post_io p then run_threaded_fused p ~ndomains
   else run_threaded_classic p ~ndomains
-
-(* The seed executor, kept as the benchmark baseline: fresh domains are
-   spawned and joined twice per timestep, so their start-up cost is paid
-   2*nsteps times per solve. *)
-let run_threaded_respawn (p : Problem.t) ~ndomains =
-  if ndomains < 1 then raise (Target_error "run_threaded_respawn: ndomains < 1");
-  let base = Lower.build p in
-  let workers = make_workers p ~base ~ndomains ~index_ranges:[] in
-  let b = base.Lower.breakdown in
-  let track = Prt.Trace.main in
-  for _ = 1 to p.Problem.nsteps do
-    Lower.run_pre_step base ~allreduce:noop_allreduce;
-    Prt.Breakdown.timed ~track b Prt.Breakdown.Intensity (fun () ->
-        let spawned =
-          Array.init (ndomains - 1) (fun i ->
-              Domain.spawn (fun () -> Lower.sweep workers.(i + 1)))
-        in
-        Lower.sweep workers.(0);
-        Array.iter Domain.join spawned);
-    Prt.Breakdown.timed ~track b Prt.Breakdown.Intensity (fun () ->
-        let spawned =
-          Array.init (ndomains - 1) (fun i ->
-              Domain.spawn (fun () -> Lower.commit workers.(i + 1)))
-        in
-        Lower.commit workers.(0);
-        Array.iter Domain.join spawned);
-    Prt.Breakdown.timed ~track b Prt.Breakdown.Temperature (fun () ->
-        Lower.run_post_step base ~allreduce:noop_allreduce);
-    base.Lower.time := !(base.Lower.time) +. !(base.Lower.dt);
-    incr base.Lower.step
-  done;
-  { states = [| base |]; breakdown = b }
 
 (* ------------------------------------------------------------------ *)
 (* Hybrid: SPMD band-parallel ranks x pool domains per rank.            *)

@@ -16,9 +16,11 @@ type result = {
 
 val primary : result -> Lower.state
 
-val gather_unknown : result -> Fvm.Field.t
-(** Reassemble the unknown from the ranks' owned cells / component
-    ranges. *)
+val gather_bands : result -> index:string -> string -> Fvm.Field.t
+(** Reassemble the named field of a band-partitioned run, taking each
+    component whose [index] value lies in a rank's owned range from that
+    rank.  Fields not indexed by [index] are rank 0's copy.  Raises
+    [Invalid_argument] for a rank without a range of [index]. *)
 
 val gather_cells : result -> string -> Fvm.Field.t
 (** Reassemble the named field of a cell-partitioned run, taking each
@@ -69,10 +71,6 @@ val make_parity : Lower.state -> Lower.state
     [u_new] storage and the double buffer onto the [u] storage, so a
     sweep of the parity state is the "odd" step of the fused schedule.
     Clock and step refs are shared with the worker. *)
-
-val run_threaded_respawn : Problem.t -> ndomains:int -> result
-(** The pre-pool executor, kept as a benchmark baseline: domains are
-    spawned and joined twice per timestep. *)
 
 val run_hybrid :
   Problem.t -> index:string -> nranks:int -> ndomains:int -> result

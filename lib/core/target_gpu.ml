@@ -86,7 +86,6 @@ let run_single ?post_io ?(info = Lower.serial_rankinfo)
         Lower.rebind host ~fields:dev_only ~u_new:view)
       u_new_bufs
   in
-  let dstate = dstates.(0) in
   (* kernel: one thread per DOF, interior faces only (boundary contributions
      are the CPU's job) *)
   let interior_cost =
@@ -232,10 +231,7 @@ let run_single ?post_io ?(info = Lower.serial_rankinfo)
       Lower.run_pre_step host ~allreduce;
       (* 1. async kernel launch, ordered after the uploads still in
          flight on the copy stream; any residual upload time delays the
-         launch and is charged as communication.  The kernel mutates the
-         device state's env directly (outside iterate_dofs), so
-         invalidate its tape caches: device fields changed since the
-         last launch. *)
+         launch and is charged as communication. *)
       let lag =
         Float.max 0.
           (copy.Gpu_sim.Stream.tail
@@ -243,7 +239,6 @@ let run_single ?post_io ?(info = Lower.serial_rankinfo)
       in
       if lag > 0. then Prt.Breakdown.record b Prt.Breakdown.Communication lag;
       Gpu_sim.Stream.join stream copy;
-      Eval.bump_epoch dstates.(parity).Lower.env;
       launch_step stream parity;
       (* 2. download of this step's result, enqueued on the copy stream
          behind the kernel — in flight during the boundary host work *)
@@ -287,10 +282,7 @@ let run_single ?post_io ?(info = Lower.serial_rankinfo)
   else
     for _ = 1 to p.Problem.nsteps do
       Lower.run_pre_step host ~allreduce;
-      (* 1. async kernel launch.  The kernel mutates the device state's env
-         directly (outside iterate_dofs), so invalidate its tape caches
-         here: device fields changed since the last launch. *)
-      Eval.bump_epoch dstate.Lower.env;
+      (* 1. async kernel launch *)
       launch_step stream 0;
       (* 2. boundary contributions on the CPU, overlapping the kernel *)
       Prt.Breakdown.timed ~track b Prt.Breakdown.Boundary (fun () ->
@@ -652,7 +644,6 @@ let run_rank_grid ?post_io ?(info = Lower.serial_rankinfo)
       Array.iteri
         (fun g stream ->
           Gpu_sim.Stream.join stream copies.(g);
-          Eval.bump_epoch dstates.(g).(parity).Lower.env;
           launch_step g stream parity)
         streams;
       Array.iteri
@@ -706,11 +697,7 @@ let run_rank_grid ?post_io ?(info = Lower.serial_rankinfo)
   else
     for _ = 1 to p.Problem.nsteps do
       Lower.run_pre_step host ~allreduce;
-      Array.iteri
-        (fun g stream ->
-          Eval.bump_epoch dstates.(g).(0).Lower.env;
-          launch_step g stream 0)
-        streams;
+      Array.iteri (fun g stream -> launch_step g stream 0) streams;
       Prt.Breakdown.timed ~track b Prt.Breakdown.Boundary (fun () ->
           Fvm.Field.fill u_bdry 0.;
           Lower.boundary_contributions host ~into:u_bdry);

@@ -1,7 +1,7 @@
-(* Iterative solvers for the FEM path: conjugate gradients with an
-   optional Jacobi preconditioner.  Dense direct solves are deliberately
-   absent — meshes make SPD sparse systems, and CG is what a production
-   FEM code would reach for first. *)
+(* Iterative sparse solvers: conjugate gradients with an optional Jacobi
+   preconditioner.  Dense direct solves are deliberately absent — meshes
+   make SPD sparse systems, and CG is what a production code would reach
+   for first. *)
 
 type stats = {
   iterations : int;

@@ -1,5 +1,5 @@
 (** Iterative sparse solvers: Jacobi-preconditioned conjugate gradients
-    (the workhorse for the SPD systems FEM assembly produces) and plain
+    (the workhorse for SPD systems from mesh discretizations) and plain
     Jacobi iteration for comparison. *)
 
 type stats = {

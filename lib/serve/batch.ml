@@ -268,10 +268,7 @@ let run ?post_io (ps : Finch.Problem.t array) =
   in
   for _ = 1 to p0.Problem.nsteps do
     Array.iter (fun host -> Lower.run_pre_step host ~allreduce) hosts;
-    (* 1. one async batched launch per chunk, covering every request.
-       The kernels mutate the device states' envs directly, so
-       invalidate their tape caches first. *)
-    Array.iter (fun (ds : Lower.state) -> Eval.bump_epoch ds.Lower.env) dstates;
+    (* 1. one async batched launch per chunk, covering every request *)
     launch_step ();
     (* 2. boundary contributions on the CPU per request, overlapping
        the shared kernel *)

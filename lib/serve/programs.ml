@@ -34,10 +34,16 @@ let naive_source ?post_io (p : Finch.Problem.t) =
   in
   Finch.Emit_source.to_julia ir
 
-let key_of ?post_io (req : Finch.Solve_request.t) (prep : Finch.prepared) =
-  let src = naive_source ?post_io prep.Finch.pr_problem in
-  Digest.to_hex
-    (Digest.string (src ^ "|" ^ Finch.Solve_request.batch_key req))
+(* The naive program text and the cache key derived from it: the one
+   place the key scheme is written down.  [lookup] and [check_uncached]
+   keep the text for their entry, so they take both from one emission. *)
+let keyed_source ?post_io (req : Finch.Solve_request.t) (prep : Finch.prepared) =
+  let source = naive_source ?post_io prep.Finch.pr_problem in
+  ( source,
+    Digest.to_hex
+      (Digest.string (source ^ "|" ^ Finch.Solve_request.batch_key req)) )
+
+let key_of ?post_io req prep = snd (keyed_source ?post_io req prep)
 
 let build_entry ?post_io ~key ~source (prep : Finch.prepared) =
   let p = prep.Finch.pr_problem in
@@ -51,11 +57,7 @@ let build_entry ?post_io ~key ~source (prep : Finch.prepared) =
     analysis = report }
 
 let lookup ?post_io (req : Finch.Solve_request.t) (prep : Finch.prepared) =
-  let source = naive_source ?post_io prep.Finch.pr_problem in
-  let key =
-    Digest.to_hex
-      (Digest.string (source ^ "|" ^ Finch.Solve_request.batch_key req))
-  in
+  let source, key = keyed_source ?post_io req prep in
   match Hashtbl.find_opt cache key with
   | Some e ->
     Prt.Metrics.incr m_hits;
@@ -68,11 +70,7 @@ let lookup ?post_io (req : Finch.Solve_request.t) (prep : Finch.prepared) =
 
 let check_uncached ?post_io (req : Finch.Solve_request.t)
     (prep : Finch.prepared) =
-  let source = naive_source ?post_io prep.Finch.pr_problem in
-  let key =
-    Digest.to_hex
-      (Digest.string (source ^ "|" ^ Finch.Solve_request.batch_key req))
-  in
+  let source, key = keyed_source ?post_io req prep in
   build_entry ?post_io ~key ~source prep
 
 let size () = Hashtbl.length cache

@@ -81,13 +81,7 @@ let of_json j =
   let* opt = field "opt" Finch.Json.to_str in
   let* opt_level = Finch.Config.opt_level_of_string opt in
   let* ev = field "eval" Finch.Json.to_str in
-  let* eval_mode =
-    match ev with
-    | "closure" -> Ok Finch.Config.Closure
-    | "tape" -> Ok Finch.Config.Tape
-    | "native" -> Ok Finch.Config.Native
-    | s -> Error (Printf.sprintf "plan: bad eval mode %S" s)
-  in
+  let* eval_mode = Finch.Config.eval_mode_of_string ev in
   let* overlap = field "overlap" Finch.Json.to_bool in
   let* chunk = field "chunk" Finch.Json.to_int in
   if chunk < 1 then Error "plan: chunk must be >= 1"

@@ -368,34 +368,17 @@ let cache_dir () =
     | None ->
       Filename.concat (Sys.getcwd ()) (Filename.concat "_build" "finch_tune"))
 
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    let parent = Filename.dirname d in
-    if parent <> d then mkdir_p parent;
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let memo : (string, Plan.t * float) Hashtbl.t = Hashtbl.create 8
 let memo_size () = Hashtbl.length memo
 let clear_memo () = Hashtbl.reset memo
 
 let entry_path key = Filename.concat (cache_dir ()) ("tune_" ^ key ^ ".json")
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
-
 let disk_load key =
   let path = entry_path key in
   if not (Sys.file_exists path) then None
   else
-    match Finch.Json.of_string (read_file path) with
+    match Finch.Json.of_string (Prt.Store.read_file path) with
     | Error _ -> None
     | Ok j -> (
       match Finch.Json.member "plan" j with
@@ -412,7 +395,7 @@ let disk_load key =
           Some (plan, predicted)))
 
 let disk_store ~key ~profile (plan : Plan.t) predicted =
-  mkdir_p (cache_dir ());
+  Prt.Store.mkdir_p (cache_dir ());
   let j =
     Finch.Json.Obj
       [
@@ -422,7 +405,7 @@ let disk_store ~key ~profile (plan : Plan.t) predicted =
         "profile", Finch.Json.Str (profile_digest profile);
       ]
   in
-  write_file (entry_path key) (Finch.Json.to_string ~indent:2 j ^ "\n")
+  Prt.Store.write_file (entry_path key) (Finch.Json.to_string ~indent:2 j ^ "\n")
 
 (* the problem's identity independent of any backend choice: the naive
    program text of a canonical serial preparation (value-independent,

@@ -174,151 +174,6 @@ let test_compiled_matches_interpreter () =
     done
   done
 
-(* --- tape compiler ------------------------------------------------- *)
-
-let bte_bindings () =
-  let fio = Fvm.Field.create ~name:"Io" ~ncells:6 ~ncomp:3 () in
-  let fi = Fvm.Field.create ~name:"I" ~ncells:6 ~ncomp:12 () in
-  let fbeta = Fvm.Field.create ~name:"beta" ~ncells:6 ~ncomp:3 () in
-  let rnd = Tutil.lcg 99 in
-  Fvm.Field.init fio (fun _ _ -> rnd ());
-  Fvm.Field.init fi (fun _ _ -> rnd ());
-  Fvm.Field.init fbeta (fun _ _ -> rnd () +. 0.5);
-  let bindings =
-    [ "Io", Finch.Eval.Bfield (fio, [ "b", 1, 1 ]);
-      "I", Finch.Eval.Bfield (fi, [ "d", 1, 1; "b", 1, 4 ]);
-      "beta", Finch.Eval.Bfield (fbeta, [ "b", 1, 1 ]) ]
-  in
-  bindings, fi
-
-let test_tape_matches_closure_exactly () =
-  (* bit-identical results on the BTE volume expression over the full
-     (cell, d, b) iteration space *)
-  let bindings, _ = bte_bindings () in
-  let e = Parser.parse "(Io[b] - I[d,b]) * beta[b] + exp(-beta[b]*dt)" in
-  let g = Finch.Eval.compile bindings e in
-  let t = Finch.Eval.compile_tape bindings e in
-  let env = make_env () in
-  Finch.Eval.bump_epoch env;
-  for cell = 0 to 5 do
-    env.Finch.Eval.cell <- cell;
-    for b = 0 to 2 do
-      Finch.Eval.ival env "b" := b;
-      for d = 0 to 3 do
-        Finch.Eval.ival env "d" := d;
-        let vc = g env and vt = Finch.Eval.tape_run t env in
-        if vc <> vt then
-          Alcotest.failf "tape differs at cell=%d d=%d b=%d: %h vs %h" cell d b
-            vc vt
-      done
-    done
-  done
-
-let test_tape_cse_reduces_ops () =
-  (* repeated subterms compile to a single op *)
-  let bindings = [ "a", Finch.Eval.Bcoef_const 1.5; "b", Finch.Eval.Bcoef_const 2.0 ] in
-  let t = Finch.Eval.compile_tape bindings (Parser.parse "(a+b)*(a+b) + (a+b)") in
-  (* leaves a and b, one add, one mul, one outer add: 5 ops for 11 nodes *)
-  Alcotest.(check int) "CSE op count" 5 (Finch.Eval.tape_length t);
-  let bindings2, _ = bte_bindings () in
-  let t2 =
-    Finch.Eval.compile_tape bindings2
-      (Parser.parse "I[d,b]*beta[b] + Io[b]*beta[b]")
-  in
-  (* beta[b] loaded once: I, beta, mul, Io, mul, add *)
-  Alcotest.(check int) "shared load op count" 6 (Finch.Eval.tape_length t2);
-  (* the post-CSE static cost is below the tree cost *)
-  let e = Parser.parse "(a+b)*(a+b) + (a+b)" in
-  let tree = Finch.Eval.cost e in
-  let tape = Finch.Eval.tape_cost (Finch.Eval.compile_tape bindings e) in
-  check_bool "tape flops below tree flops" true
-    (tape.Finch.Eval.flops < tree.Finch.Eval.flops)
-
-let test_tape_hoists_invariant_ops () =
-  (* with d as the innermost loop, the b-only subterms (Io[b], beta[b])
-     execute once per (cell, b) instead of once per (cell, b, d) *)
-  let bindings, _ = bte_bindings () in
-  let e = Parser.parse "(Io[b] - I[d,b]) * beta[b]" in
-  let t = Finch.Eval.compile_tape bindings e in
-  let g = Finch.Eval.compile bindings e in
-  let env = make_env () in
-  Finch.Eval.bump_epoch env;
-  for cell = 0 to 5 do
-    env.Finch.Eval.cell <- cell;
-    for b = 0 to 2 do
-      Finch.Eval.ival env "b" := b;
-      for d = 0 to 3 do
-        Finch.Eval.ival env "d" := d;
-        let vt = Finch.Eval.tape_run t env in
-        if vt <> g env then Alcotest.fail "tape drifted from closure"
-      done
-    done
-  done;
-  let runs = Finch.Eval.tape_runs t in
-  let len = Finch.Eval.tape_length t in
-  let executed = Finch.Eval.tape_executed t in
-  Alcotest.(check int) "runs counted" (6 * 3 * 4) runs;
-  check_bool "some ops executed" true (executed >= len);
-  check_bool
-    (Printf.sprintf "invariant ops skipped (%d executed of %d possible)"
-       executed (runs * len))
-    true
-    (executed < runs * len);
-  Finch.Eval.tape_reset_stats t;
-  Alcotest.(check int) "stats reset" 0 (Finch.Eval.tape_runs t)
-
-let test_tape_epoch_invalidation () =
-  (* mutating a field and bumping the epoch must invalidate cached
-     registers; without the bump the cache contract does not cover it *)
-  let bindings, fi = bte_bindings () in
-  let e = Parser.parse "(Io[b] - I[d,b]) * beta[b]" in
-  let t = Finch.Eval.compile_tape bindings e in
-  let g = Finch.Eval.compile bindings e in
-  let env = make_env () in
-  Finch.Eval.bump_epoch env;
-  env.Finch.Eval.cell <- 3;
-  Finch.Eval.ival env "d" := 2;
-  Finch.Eval.ival env "b" := 1;
-  let v0 = Finch.Eval.tape_run t env in
-  Tutil.check_close "initial agreement" (g env) v0;
-  (* change the intensity field in place, as an executor step would *)
-  Fvm.Field.set fi 3 (2 + 4) 123.456;
-  Finch.Eval.bump_epoch env;
-  let v1 = Finch.Eval.tape_run t env in
-  if v1 = v0 then Alcotest.fail "stale register survived an epoch bump";
-  Tutil.check_close "agreement after mutation" (g env) v1
-
-(* property: the tape evaluator agrees bit-for-bit with the closure
-   compiler on random expressions, including across repeated runs with
-   cached registers *)
-let prop_tape_matches_closure =
-  let bindings, _ = bte_bindings () in
-  let bindings =
-    bindings
-    @ [ "a", Finch.Eval.Bcoef_const 1.25;
-        "b", Finch.Eval.Bcoef_const (-0.75);
-        "k", Finch.Eval.Bcoef_const 2.0 ]
-  in
-  QCheck.Test.make ~name:"tape evaluator == closure evaluator" ~count:200
-    Test_expr.arb_expr (fun e ->
-      match Finch.Eval.compile bindings e with
-      | exception Finch.Eval.Compile_error _ -> true
-      | g ->
-        let t = Finch.Eval.compile_tape bindings e in
-        let env = make_env () in
-        Finch.Eval.bump_epoch env;
-        let same_at cell d b =
-          env.Finch.Eval.cell <- cell;
-          Finch.Eval.ival env "d" := d;
-          Finch.Eval.ival env "b" := b;
-          let vc = g env and vt = Finch.Eval.tape_run t env in
-          vc = vt || (Float.is_nan vc && Float.is_nan vt)
-        in
-        (* sweep d innermost to exercise register caching, then revisit
-           the first point to check nothing stale persists *)
-        same_at 0 0 0 && same_at 0 1 0 && same_at 0 2 0 && same_at 1 2 1
-        && same_at 1 3 2 && same_at 0 0 0)
-
 (* property: the closure compiler agrees with the reference interpreter
    (Expr.eval) on random expressions over a shared vocabulary *)
 let prop_compile_matches_eval =
@@ -395,12 +250,5 @@ let suite =
       Alcotest.test_case "cost estimation" `Quick test_cost_estimation;
       Alcotest.test_case "closure compiler vs direct evaluation" `Quick
         test_compiled_matches_interpreter;
-      Alcotest.test_case "tape == closure (bit-identical)" `Quick
-        test_tape_matches_closure_exactly;
-      Alcotest.test_case "tape CSE reduces op count" `Quick test_tape_cse_reduces_ops;
-      Alcotest.test_case "tape hoists loop-invariant ops" `Quick
-        test_tape_hoists_invariant_ops;
-      Alcotest.test_case "tape epoch invalidation" `Quick test_tape_epoch_invalidation;
-      QCheck_alcotest.to_alcotest prop_tape_matches_closure;
       QCheck_alcotest.to_alcotest prop_compile_matches_eval;
     ] )

@@ -24,7 +24,7 @@ let () =
       Test_bte_solver.suite;
       Test_opt.suite;
       Test_perfmodel.suite;
-      Test_fem.suite;
+      Test_la.suite;
       Test_codegen.suite;
       Test_serve.suite;
       Test_tune.suite;

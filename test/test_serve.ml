@@ -59,7 +59,7 @@ let arb_request =
       oneofl [ Finch.Config.O0; Finch.Config.O1; Finch.Config.O2 ]
     in
     let* eval_mode =
-      oneofl [ Finch.Config.Closure; Finch.Config.Tape; Finch.Config.Native ]
+      oneofl [ Finch.Config.Closure; Finch.Config.Native ]
     in
     let* overlap = bool in
     let* deadline_s = opt (float_range 0. 60.) in

@@ -189,36 +189,6 @@ let test_hybrid_equals_serial () =
         Alcotest.failf "hybrid %dx%d: diff %g" nranks ndomains diff)
     [ 2, 2; 4, 1; 2, 3 ]
 
-let test_pool_respawn_executors_agree () =
-  (* the retained spawn-per-step executor and the pool executor are the
-     same algorithm on different runtimes *)
-  let p1, _, _ = make_advection () in
-  let r1 = Finch.Target_cpu.run_threaded p1 ~ndomains:3 in
-  let p2, _, _ = make_advection () in
-  let r2 = Finch.Target_cpu.run_threaded_respawn p2 ~ndomains:3 in
-  let u1 = (Finch.Target_cpu.primary r1).Finch.Lower.u in
-  let u2 = (Finch.Target_cpu.primary r2).Finch.Lower.u in
-  let diff = Fvm.Field.max_abs_diff u1 u2 in
-  if diff > 0. then Alcotest.failf "pool vs respawn: diff %g" diff
-
-let test_tape_mode_equals_closure_mode () =
-  (* whole-solve agreement of the two evaluators, on serial and pooled
-     executors; Tape is the default, so force Closure on the reference *)
-  List.iter
-    (fun target ->
-      let p1, _, _ = make_advection () in
-      Finch.Problem.set_eval_mode p1 Finch.Config.Closure;
-      let o1 = run_with target p1 in
-      let p2, _, _ = make_advection () in
-      Finch.Problem.set_eval_mode p2 Finch.Config.Tape;
-      let o2 = run_with target p2 in
-      let diff = Fvm.Field.max_abs_diff o1.Finch.Solve.u o2.Finch.Solve.u in
-      if diff > 0. then
-        Alcotest.failf "tape vs closure (%s): diff %g"
-          (Finch.Config.target_name target) diff)
-    [ Finch.Config.Cpu Finch.Config.Serial;
-      Finch.Config.Cpu (Finch.Config.Threaded 3) ]
-
 let test_loop_order_invariance () =
   (* permuting assembly loops must not change results *)
   let p1, _, _ = make_advection () in
@@ -302,7 +272,7 @@ let test_post_step_callback_runs () =
   Alcotest.(check int) "post-step called each step" 5 !count
 
 let test_rcb_band_gather () =
-  (* gather_unknown reconstructs the full field from band-partitioned
+  (* gather_bands reconstructs the full field from band-partitioned
      states without gaps *)
   let p, _, _ = make_advection ~nsteps:3 () in
   Finch.Problem.set_target p (Finch.Config.Cpu (Finch.Config.Band_parallel 3));
@@ -465,10 +435,6 @@ let suite =
       Alcotest.test_case "pool-threaded == serial (exact)" `Quick
         test_pool_threaded_equals_serial;
       Alcotest.test_case "hybrid == serial (exact)" `Quick test_hybrid_equals_serial;
-      Alcotest.test_case "pool == respawn executor" `Quick
-        test_pool_respawn_executors_agree;
-      Alcotest.test_case "tape mode == closure mode" `Quick
-        test_tape_mode_equals_closure_mode;
       Alcotest.test_case "loop order invariance" `Quick test_loop_order_invariance;
       Alcotest.test_case "assembly loops validation" `Quick test_assembly_loops_validation;
       Alcotest.test_case "dirichlet inflow steady state" `Quick test_dirichlet_inflow;
