@@ -1356,8 +1356,9 @@ let ablate () =
     [ 2; 10; 55 ];
   row
     "=> the paper's \"only a reduction of intensity across bands\" stays cheap with
-    \   the scalar payload (the implementation's default); the exactly-conservative
-    \   per-band variant costs ~%dx more traffic per step.
+    \   the scalar payload (what the model prices); the per-band payload, which the
+    \   in-process executors send so every plan sums bands in the same order, costs
+    \   ~%dx more traffic per step.
 "
     s.Bte.Perfmodel.nbands
 

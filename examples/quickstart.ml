@@ -14,7 +14,6 @@ open Finch
 let () =
   let p = Problem.init "quickstart" in
   Problem.domain p 2;
-  Problem.solver_type p Config.FV;
   Problem.time_stepper p Config.Euler_explicit;
   let mesh = Fvm.Mesh_gen.rectangle ~nx:40 ~ny:40 ~lx:1.0 ~ly:1.0 () in
   Problem.set_mesh p mesh;

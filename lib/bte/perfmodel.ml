@@ -102,7 +102,9 @@ let max_cells s p = (s.ncells + p - 1) / p
    DOF slice, allreduce of the per-cell absorbed power, then the per-cell
    Newton solve running redundantly on every rank (each band-parallel rank
    owns every cell — exactly what the implemented executor does), and the
-   Io/beta refresh for the owned bands over all cells. *)
+   Io/beta refresh for the owned bands over all cells.  The allreduce is
+   priced at the paper's one value per cell; the in-process executor
+   sends one per (cell, band) so its band sum is order-exact. *)
 let temp_band c s ~p =
   let mb = max_bands s p in
   let reduce = float_of_int (s.ncells * s.ndirs * mb) *. c.reduce_dof_time in

@@ -165,7 +165,8 @@ let sweep t =
   done
 
 (* temperature update: per-cell Newton on the absorbed power with current
-   rates (the same scalar-energy formulation as the DSL solver's default),
+   rates (the same scalar-energy formulation as the DSL solver's default,
+   summed the same way: one partial per band, then the bands in order),
    then refresh Io and beta *)
 let temperature_update t =
   let n = ncells t in
@@ -177,11 +178,13 @@ let temperature_update t =
     for b = 0 to nb - 1 do
       let vg = (Dispersion.band t.disp b).Dispersion.vg in
       let w = t.beta.((c * nb) + b) /. vg in
+      let gb = ref 0. in
       for d = 0 to nd - 1 do
-        g :=
-          !g
+        gb :=
+          !gb
           +. (t.angles.Angles.weight.(d) *. t.i.(base + d + (b * nd)) *. w)
-      done
+      done;
+      g := !g +. !gb
     done;
     let tc = Temperature.newton_scalar t.tmodel ~g:!g ~guess:t.temp.(c) in
     t.temp.(c) <- tc;

@@ -23,5 +23,12 @@ val tau : Dispersion.branch -> float -> float -> float
 val band_rate : Dispersion.band -> float -> float
 (** Rate at the band centre. *)
 
+val band_rate_dt : Dispersion.band -> float -> float * float
+(** [band_rate_dt band t] = ({!band_rate} [band t], d rate / dT), both
+    from one evaluation of the branch term. The derivative is 3 r/T for
+    LA, 4 r/T for TA normal and r x coth(x) / T for TA umklapp
+    (x = hbar w / kb T); impurity scattering contributes nothing, and a
+    floored rate has derivative 0. *)
+
 val band_tau : Dispersion.band -> float -> float
 (** Relaxation time at the band centre, 1 / {!band_rate}. *)

@@ -197,7 +197,6 @@ let build ?(enforce_cfl = true) ?(stepper = Finch.Config.Euler_explicit)
 
   let p = Finch.Problem.init ("bte-" ^ sc.sname) in
   Finch.Problem.domain p 2;
-  Finch.Problem.solver_type p Finch.Config.FV;
   Finch.Problem.time_stepper p stepper;
   let mesh = Fvm.Mesh_gen.rectangle ~nx:sc.nx ~ny:sc.ny ~lx:sc.lx ~ly:sc.ly () in
   Finch.Problem.set_mesh p mesh;

@@ -89,7 +89,6 @@ let build (sc : scenario3d) =
 
   let p = Finch.Problem.init ("bte3d-" ^ sc.sname) in
   Finch.Problem.domain p 3;
-  Finch.Problem.solver_type p Finch.Config.FV;
   Finch.Problem.time_stepper p Finch.Config.Euler_explicit;
   let mesh =
     Fvm.Mesh_gen.box ~nx:sc.nx ~ny:sc.ny ~nz:sc.nz ~lx:sc.lx ~ly:sc.ly ~lz:sc.lz ()

@@ -7,15 +7,17 @@
       sum_b (rate_b(T) / vg_b) (Omega I0_b(T) - J_b) = 0,
       J_b = sum_d w_d I_(d,b).
 
-    Newton iteration with the tabulated dI0/dT as Jacobian and a bisection
-    fallback (the residual is increasing in T). *)
+    Newton iteration on the full Jacobian (tabulated dI0/dT plus
+    d rate/dT from {!Scattering.band_rate_dt}), with a bisection fallback
+    (the residual is increasing in T). *)
 
 (** Distributed-reduction flavour for the cross-band coupling:
-    [Scalar_energy] reduces one absorbed-power value per cell (the
-    paper's "reduction of intensity across bands" — cheapest payload,
-    rates frozen at their pre-update values); [Per_band] reduces the
-    per-band angular integrals so the balance is evaluated with updated
-    rates — exactly energy-conserving for the next sweep. *)
+    [Scalar_energy] reduces the absorbed power with rates frozen at
+    their pre-update values (the paper's "reduction of intensity across
+    bands"), one partial per (cell, band) so the band sum is order-exact
+    on every plan; [Per_band] reduces the per-band angular integrals so
+    the balance is evaluated with updated rates — exactly
+    energy-conserving for the next sweep. *)
 type reduction = Scalar_energy | Per_band
 
 type model = {
@@ -39,13 +41,12 @@ val nbands : model -> int
 val residual_per_band : model -> (int -> float) -> float -> float * float
 (** [residual_per_band m jb t]: the energy balance
     sum_b (rate_b(T)/vg_b) (Omega I0_b(T) - J_b) with J_b = [jb b], and
-    its Jacobian estimate (the dI0/dT term only; d rate / dT is
-    omitted). *)
+    its exact derivative (both the dI0/dT and the d rate/dT terms). *)
 
 val residual_scalar : model -> float -> float -> float * float
 (** [residual_scalar m g t]: the balance against a pre-reduced absorbed
-    power [g], sum_b Omega I0_b(T) rate_b(T)/vg_b - g, and the same
-    Jacobian estimate. *)
+    power [g], sum_b Omega I0_b(T) rate_b(T)/vg_b - g, and its exact
+    derivative. *)
 
 val emission_scale : model -> float -> float
 (** Emission magnitude at T, the reference for the relative convergence
@@ -69,6 +70,9 @@ val post_step : model -> Finch.Problem.step_ctx -> unit
 (** The callback wired into the DSL problem; expects fields "I" (over
     [d; b]), "Io" and "beta" (over [b]) and "T". Performs the configured
     cross-rank reduction through [st_allreduce] when bands are
-    partitioned, then refreshes T, Io and beta. Adds the call's Newton
-    solves and bisection fallbacks to the [bte.newton.solves] and
-    [bte.newton.bisections] counters once, at the end. *)
+    partitioned — a per-(cell, band) array summed over bands in order,
+    so every plan gets the serial values bit for bit — then refreshes
+    T, Io and beta. Adds the call's Newton solves, bisection fallbacks
+    and residual evaluations to the [bte.newton.solves],
+    [bte.newton.bisections] and [bte.newton.evals] counters once, at the
+    end. *)

@@ -1,9 +1,5 @@
 (* Solver configuration enumerations, mirroring the DSL's script options. *)
 
-type solver_type =
-  | FV (* finite volume — the method used throughout the paper *)
-  | FE (* finite element — accepted, but code generation targets FV *)
-
 type time_stepper =
   | Euler_explicit
   | RK2 (* explicit midpoint; an "extension" stepper beyond the paper *)

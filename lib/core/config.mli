@@ -1,9 +1,5 @@
 (** Solver configuration enumerations (script options). *)
 
-type solver_type =
-  | FV (** finite volume — the method used throughout the paper *)
-  | FE (** accepted for completeness; code generation targets FV *)
-
 type time_stepper =
   | Euler_explicit       (** the paper's scheme *)
   | RK2                  (** explicit midpoint (extension) *)

@@ -1,7 +1,8 @@
 (* Script-level problem description: the OCaml counterpart of the paper's
-   Julia input script (initFinch, domain, solverType, timeStepper, mesh,
+   Julia input script (initFinch, domain, timeStepper, mesh,
    index/variable/coefficient, boundary, postStepFunction,
-   conservationForm, assemblyLoops, useCUDA, solve).
+   conservationForm, assemblyLoops, useCUDA, solve).  The script's
+   solverType has no counterpart: finite volume is the only method.
 
    A [Problem.t] is a mutable builder; code generation happens in
    [Solve.solve] once everything is declared. *)
@@ -70,7 +71,6 @@ type initial_spec =
 type t = {
   name : string;
   mutable dim : int;
-  mutable solver : Config.solver_type;
   mutable stepper : Config.time_stepper;
   mutable dt : float;
   mutable nsteps : int;
@@ -103,7 +103,6 @@ let init name =
   {
     name;
     dim = 2;
-    solver = Config.FV;
     stepper = Config.Euler_explicit;
     dt = 1e-3;
     nsteps = 1;
@@ -130,7 +129,6 @@ let domain p d =
   if d < 1 || d > 3 then raise (Problem_error "domain must be 1, 2 or 3");
   p.dim <- d
 
-let solver_type p s = p.solver <- s
 let time_stepper p s = p.stepper <- s
 
 let set_steps p ~dt ~nsteps =
@@ -228,10 +226,6 @@ let post_step_function p f = p.post_step <- p.post_step @ [ f ]
 (* --- equations ---------------------------------------------------------- *)
 
 let conservation_form p var text =
-  (match p.solver with
-   | Config.FV -> ()
-   | Config.FE ->
-     raise (Problem_error "conservationForm requires the FV solver type"));
   let var_names = List.map (fun v -> v.Entity.vname) p.variables in
   let eq = Transform.conservation_form ~var_names var text in
   (* validate that every referenced entity is declared *)

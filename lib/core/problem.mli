@@ -1,8 +1,9 @@
 (** Script-level problem description — the OCaml counterpart of the
-    paper's Julia input script ([initFinch], [domain], [solverType],
-    [timeStepper], [mesh], [index]/[variable]/[coefficient], [boundary],
+    paper's Julia input script ([initFinch], [domain], [timeStepper],
+    [mesh], [index]/[variable]/[coefficient], [boundary],
     [callbackFunction], [postStepFunction], [conservationForm],
-    [assemblyLoops], [useCUDA], [solve]).
+    [assemblyLoops], [useCUDA], [solve]).  The script's [solverType] has
+    no counterpart: finite volume is the only method.
 
     A value of type {!t} is a mutable builder; lowering and code
     generation happen in [Solve.solve]. *)
@@ -69,7 +70,6 @@ type initial_spec =
 type t = {
   name : string;
   mutable dim : int;
-  mutable solver : Config.solver_type;
   mutable stepper : Config.time_stepper;
   mutable dt : float;
   mutable nsteps : int;
@@ -99,7 +99,6 @@ val init : string -> t
 (** {2 Configuration commands} *)
 
 val domain : t -> int -> unit
-val solver_type : t -> Config.solver_type -> unit
 val time_stepper : t -> Config.time_stepper -> unit
 val set_steps : t -> dt:float -> nsteps:int -> unit
 

@@ -43,7 +43,8 @@ let solve_dispatch ?band_index ?post_io (p : Problem.t) =
       match band_index with Some i -> i | None -> default_band_index p
     in
     let r = run ~index in
-    cpu_outcome ~gather:(fun name _ -> Target_cpu.gather_bands r ~index name) r
+    cpu_outcome r ~gather:(fun name _ ->
+        Target_cpu.gather_bands r.Target_cpu.states ~index name)
   in
   match p.Problem.target with
   | Config.Cpu Config.Serial -> cpu_outcome (Target_cpu.run_serial p)

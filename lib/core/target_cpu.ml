@@ -16,13 +16,15 @@ type result = {
 
 let primary r = r.states.(0)
 
-(* Reassemble a named field of a band-partitioned run: each component
-   whose [index] value lies in a rank's owned range comes from that rank,
-   so fields the ranks refresh only for their own bands (the unknown, the
-   per-band equilibrium intensity) read as in a serial run.  Fields not
-   indexed by [index] are taken from rank 0, which computes them whole. *)
-let gather_bands r ~index name =
-  let st0 = r.states.(0) in
+(* Reassemble a named field of a band-partitioned run from its per-rank
+   states: each component whose [index] value lies in a rank's owned
+   range comes from that rank, so fields the ranks refresh only for their
+   own bands (the unknown, the per-band equilibrium intensity) read as in
+   a serial run.  Fields not indexed by [index] are taken from rank 0,
+   which computes them whole.  The CPU and GPU band-split targets share
+   it. *)
+let gather_bands states ~index name =
+  let st0 = states.(0) in
   let field (st : Lower.state) = List.assoc name st.Lower.fields in
   let out = Fvm.Field.copy (field st0) in
   let p = st0.Lower.p in
@@ -46,7 +48,7 @@ let gather_bands r ~index name =
                        Fvm.Field.set out cell comp (Fvm.Field.get src cell comp)
                      done
                  done)
-             r.states)
+             states)
        (Lower.layout_of_var v)
    | _ -> ());
   out

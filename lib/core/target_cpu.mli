@@ -16,11 +16,12 @@ type result = {
 
 val primary : result -> Lower.state
 
-val gather_bands : result -> index:string -> string -> Fvm.Field.t
-(** Reassemble the named field of a band-partitioned run, taking each
-    component whose [index] value lies in a rank's owned range from that
-    rank.  Fields not indexed by [index] are rank 0's copy.  Raises
-    [Invalid_argument] for a rank without a range of [index]. *)
+val gather_bands : Lower.state array -> index:string -> string -> Fvm.Field.t
+(** Reassemble the named field of a band-partitioned run from its
+    per-rank states (rank order), taking each component whose [index]
+    value lies in a rank's owned range from that rank.  Fields not
+    indexed by [index] are rank 0's copy.  Raises [Invalid_argument] for
+    a rank without a range of [index]. *)
 
 val gather_cells : result -> string -> Fvm.Field.t
 (** Reassemble the named field of a cell-partitioned run, taking each

@@ -315,11 +315,29 @@ let run_single ?post_io ?(info = Lower.serial_rankinfo)
     done;
   { state = host; device = dev; breakdown = b; plan; profile_threads = nthreads }
 
+(* Package the ranks of a band-partitioned run: every field of rank 0's
+   host state is overwritten with its gather from the band owners, so the
+   unknown and the per-band fields the ranks refresh only for their own
+   bands (Io, beta) read as in a single-device run; the breakdown is the
+   ranks' sum. *)
+let gather_ranks ~index (results : result array) =
+  let states = Array.map (fun r -> r.state) results in
+  let r0 = results.(0) in
+  List.iter
+    (fun (name, f) ->
+      Fvm.Field.blit ~src:(Target_cpu.gather_bands states ~index name) ~dst:f)
+    r0.state.Lower.fields;
+  let breakdown =
+    Prt.Breakdown.sum_distinct
+      (Array.to_list (Array.map (fun r -> r.breakdown) results))
+  in
+  { r0 with breakdown }, results
+
 (* Multi-device run: the paper's band-based partitioning across (device,
    rank) pairs.  Each rank owns a slice of the partitioned index (the
    unknown's slow index), drives its own simulated device, and joins the
    others in the temperature update's allreduce through the SPMD runtime.
-   Results are gathered into rank 0's fields. *)
+   Every field is gathered into rank 0's state ([gather_ranks]). *)
 let run_multi ?post_io ?(overlap = false) ~spec ~ranks (p : Problem.t) =
   let band_index =
     match List.rev p.Problem.indices with
@@ -347,22 +365,7 @@ let run_multi ?post_io ?(overlap = false) ~spec ~ranks (p : Problem.t) =
       (function Some r -> r | None -> raise (Gpu_error "rank did not run"))
       results
   in
-  (* gather the band slices into rank 0's unknown *)
-  let r0 = results.(0) in
-  let u0 = r0.state.Lower.u in
-  Array.iter
-    (fun (r : result) ->
-      let st = r.state in
-      Lower.iterate_dofs st (fun () ->
-          let cell = st.Lower.env.Eval.cell in
-          let c = st.Lower.ucomp () in
-          Fvm.Field.set u0 cell c (Fvm.Field.get st.Lower.u cell c)))
-    results;
-  let breakdown =
-    Prt.Breakdown.sum_distinct
-      (Array.to_list (Array.map (fun r -> r.breakdown) results))
-  in
-  { r0 with breakdown }, results
+  gather_ranks ~index:band_index.Entity.iname results
 
 (* ---- Multi-device grid target: G devices per rank x R ranks ---------
 
@@ -790,21 +793,7 @@ let run_grid ?post_io ?(overlap = false) ~spec ~devices ~ranks
         (function Some r -> r | None -> raise (Gpu_error "rank did not run"))
         results
     in
-    let r0 = results.(0) in
-    let u0 = r0.state.Lower.u in
-    Array.iter
-      (fun (r : result) ->
-        let st = r.state in
-        Lower.iterate_dofs st (fun () ->
-            let cell = st.Lower.env.Eval.cell in
-            let c = st.Lower.ucomp () in
-            Fvm.Field.set u0 cell c (Fvm.Field.get st.Lower.u cell c)))
-      results;
-    let breakdown =
-      Prt.Breakdown.sum_distinct
-        (Array.to_list (Array.map (fun r -> r.breakdown) results))
-    in
-    { r0 with breakdown }, results
+    gather_ranks ~index:band_index.Entity.iname results
   end
 
 let run ?post_io (p : Problem.t) =

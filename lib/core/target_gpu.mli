@@ -34,8 +34,9 @@ val run_multi :
   ?post_io:Dataflow.callback_io -> ?overlap:bool -> spec:Gpu_sim.Spec.t ->
   ranks:int -> Problem.t -> result * result array
 (** Band-partitioned multi-device run under the SPMD runtime; the first
-    component has rank 0's state with the gathered unknown and the summed
-    breakdown. *)
+    component has rank 0's state, every field gathered from its band
+    owners ({!Target_cpu.gather_bands}: the unknown, Io, beta read as in
+    a single-device run), and the summed breakdown. *)
 
 val run : ?post_io:Dataflow.callback_io -> Problem.t -> result
 (** Dispatch on the problem's GPU target (ranks <= 1: single device).

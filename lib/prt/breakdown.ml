@@ -94,16 +94,29 @@ let phase_of_name = function
   | "other" -> Some Other
   | _ -> None
 
-(* Phase sections are also trace spans (cat "phase") when tracing is on:
-   the accumulator [t] is then just a materialised view of the span
-   stream — [of_events] recomputes it from the trace. *)
+(* A phase counts only the running rank's own time: under [Spmd], the
+   seconds a section spent suspended at a collective or a wait (while
+   peer ranks ran) go to communication instead.  Split records the
+   section as [total - suspended] of [phase] plus [suspended] of
+   communication. *)
+let record_split b phase ~total ~suspended =
+  record b phase (total -. suspended);
+  if suspended > 0. then record b Communication suspended
+
+(* Phase sections are also trace spans (cat "phase") when tracing is on,
+   carrying their suspended seconds as a "suspended_s" argument: the
+   accumulator [t] is then just a materialised view of the span stream —
+   [of_events] recomputes it from the trace. *)
 let timed ?track b phase f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Unix.gettimeofday () and s0 = Spmd.suspended_s () in
   let r = f () in
   let t1 = Unix.gettimeofday () in
-  record b phase (t1 -. t0);
+  let suspended = Spmd.suspended_s () -. s0 in
+  record_split b phase ~total:(t1 -. t0) ~suspended;
   (match track with
-   | Some tr -> Trace.complete tr ~cat:"phase" (phase_name phase) ~t0 ~t1
+   | Some tr ->
+     let args = if suspended > 0. then [ "suspended_s", suspended ] else [] in
+     Trace.complete tr ~cat:"phase" (phase_name phase) ~args ~t0 ~t1
    | None -> ());
   r
 
@@ -113,7 +126,12 @@ let of_events evs =
     (fun ev ->
       if ev.Trace.ev_cat = "phase" && ev.Trace.ev_dur >= 0. then
         match phase_of_name ev.Trace.ev_name with
-        | Some p -> record b p (ev.Trace.ev_dur *. 1e-6)
+        | Some p ->
+          let suspended =
+            Option.value ~default:0.
+              (List.assoc_opt "suspended_s" ev.Trace.ev_args)
+          in
+          record_split b p ~total:(ev.Trace.ev_dur *. 1e-6) ~suspended
         | None -> ())
     evs;
   b

@@ -55,15 +55,20 @@ val record : t -> phase -> float -> unit
 (** Add [dt] seconds to a phase. *)
 
 val timed : ?track:Trace.track -> t -> phase -> (unit -> 'a) -> 'a
-(** Run a thunk, recording its wall-clock duration against a phase.  With
-    [?track] (and tracing enabled) the section is also emitted as a
-    [cat:"phase"] span named {!phase_name} on that track, so the same
-    measurement feeds both the accumulator and the trace. *)
+(** Run a thunk, recording its wall-clock duration against a phase.
+    Under {!Spmd.run}, the part of it the rank spent suspended at a
+    collective or a wait ({!Spmd.suspended_s}) — time other ranks ran —
+    is recorded as communication instead, so a rank's phases count only
+    its own running segments.  With [?track] (and tracing enabled) the
+    section is also emitted as a [cat:"phase"] span named {!phase_name}
+    on that track, with a ["suspended_s"] argument when it suspended, so
+    the same measurement feeds both the accumulator and the trace. *)
 
 val of_events : Trace.event list -> t
 (** Rebuild a breakdown from drained trace events: sums the durations of
-    [cat:"phase"] spans per phase.  For a traced run this agrees with the
-    accumulated record up to clock-read jitter. *)
+    [cat:"phase"] spans per phase, moving each span's ["suspended_s"]
+    argument to communication as {!timed} does.  For a traced run this
+    agrees with the accumulated record up to clock-read jitter. *)
 
 val sum_distinct : t list -> t
 (** Sum a list of breakdowns counting each {e physical} record once.

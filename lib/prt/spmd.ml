@@ -69,12 +69,21 @@ let segment rank f =
   if Trace.enabled () then Trace.span ~cat:"spmd" (Trace.rank rank) "compute" f
   else f ()
 
+(* Seconds the running rank has spent suspended at collectives and waits.
+   [run] keeps one accumulator per rank and publishes the running rank's
+   in this domain-local slot whenever it resumes one, so a phase timer
+   around code that may suspend can subtract the time other ranks ran.
+   Outside [run] the slot holds a fresh zero. *)
+let suspended_key : float ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref 0.)
+
+let suspended_s () = !(Domain.DLS.get suspended_key)
+
 type suspended =
   | Running
   | At_barrier of (unit, unit) Effect.Deep.continuation
   | At_allreduce of float array * (unit, unit) Effect.Deep.continuation
-  | At_wait of request * float * (unit, unit) Effect.Deep.continuation
-      (* the float is the wall-clock suspension time (0. unless tracing) *)
+  | At_wait of request * (unit, unit) Effect.Deep.continuation
   | Finished
 
 (* Unmatched posted operations, FIFO per (src, dst, tag). *)
@@ -126,6 +135,26 @@ let deliver (snd_req : request) (rcv_req : request) =
 let run ~nranks (program : int -> unit) =
   if nranks < 1 then invalid_arg "Spmd.run";
   let states = Array.make nranks Running in
+  (* per-rank suspended seconds, and the wall-clock time each suspended
+     rank stopped at *)
+  let suspended = Array.init nranks (fun _ -> ref 0.) in
+  let since = Array.make nranks 0. in
+  let suspend rank state =
+    since.(rank) <- Unix.gettimeofday ();
+    states.(rank) <- state
+  in
+  (* run a rank's segment with its accumulator published *)
+  let run_segment rank f =
+    Domain.DLS.set suspended_key suspended.(rank);
+    segment rank f
+  in
+  (* resume a suspended rank, charging the suspension to its accumulator *)
+  let wake rank k =
+    states.(rank) <- Running;
+    let acc = suspended.(rank) in
+    acc := !acc +. (Unix.gettimeofday () -. since.(rank));
+    run_segment rank (fun () -> Effect.Deep.continue k ())
+  in
   let sendbox : mailbox = Hashtbl.create 64 in
   let recvbox : mailbox = Hashtbl.create 64 in
   let check_peer op rank peer =
@@ -179,11 +208,11 @@ let run ~nranks (program : int -> unit) =
             | Barrier ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  states.(rank) <- At_barrier k)
+                  suspend rank (At_barrier k))
             | Allreduce_sum arr ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  states.(rank) <- At_allreduce (arr, k))
+                  suspend rank (At_allreduce (arr, k)))
             | Isend (dst, tag, data) ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -202,24 +231,22 @@ let run ~nranks (program : int -> unit) =
                         ~args:[ "tag", float_of_int req.req_tag ];
                     continue k ()
                   end
-                  else begin
-                    let t0 =
-                      if Trace.enabled () then Unix.gettimeofday () else 0.
-                    in
-                    states.(rank) <- At_wait (req, t0, k)
-                  end)
+                  else suspend rank (At_wait (req, k)))
             | _ -> None);
       }
   in
+  let outer = Domain.DLS.get suspended_key in
+  Fun.protect ~finally:(fun () -> Domain.DLS.set suspended_key outer)
+  @@ fun () ->
   for r = 0 to nranks - 1 do
-    segment r (fun () -> start r)
+    run_segment r (fun () -> start r)
   done;
   let describe_state rank = function
     | Running -> Printf.sprintf "rank %d running" rank
     | At_barrier _ -> Printf.sprintf "rank %d at barrier" rank
     | At_allreduce (a, _) ->
       Printf.sprintf "rank %d at allreduce (%d values)" rank (Array.length a)
-    | At_wait (req, _, _) ->
+    | At_wait (req, _) ->
       Printf.sprintf "rank %d waiting on %s" rank (describe_request req)
     | Finished -> Printf.sprintf "rank %d finished" rank
   in
@@ -244,15 +271,14 @@ let run ~nranks (program : int -> unit) =
            (Printf.sprintf "unmatched at program end: %s"
               (String.concat "; " (List.map describe_request rs))))
   in
-  let resume_wait r req t0 k =
-    states.(r) <- Running;
+  let resume_wait r req k =
     if Trace.enabled () then
-      Trace.complete (Trace.rank r) ~cat:"spmd" "wait" ~t0
+      Trace.complete (Trace.rank r) ~cat:"spmd" "wait" ~t0:since.(r)
         ~t1:(Unix.gettimeofday ())
         ~args:
           [ "tag", float_of_int req.req_tag;
             "bytes", float_of_int (8 * Array.length req.req_buf) ];
-    segment r (fun () -> Effect.Deep.continue k ())
+    wake r k
   in
   let rec drive () =
     (* 1. progress: resume (in rank order) any rank whose waited request
@@ -261,9 +287,9 @@ let run ~nranks (program : int -> unit) =
     Array.iteri
       (fun r s ->
         match s with
-        | At_wait (req, t0, k) when req.req_done ->
+        | At_wait (req, k) when req.req_done ->
           progressed := true;
-          resume_wait r req t0 k
+          resume_wait r req k
         | _ -> ())
       states;
     if !progressed then drive ()
@@ -288,10 +314,9 @@ let run ~nranks (program : int -> unit) =
            Metrics.incr m_barriers;
            List.iter
              (fun (r, k) ->
-               states.(r) <- Running;
                if Trace.enabled () then
                  Trace.instant ~cat:"spmd" (Trace.rank r) "barrier";
-               segment r (fun () -> Effect.Deep.continue k ()))
+               wake r k)
              bs
          | [], rs when List.length rs = nranks ->
            (match rs with
@@ -320,11 +345,10 @@ let run ~nranks (program : int -> unit) =
               Metrics.add m_allreduce_bytes (8 * len * nranks));
            List.iter
              (fun (r, a, k) ->
-               states.(r) <- Running;
                if Trace.enabled () then
                  Trace.instant ~cat:"spmd" (Trace.rank r) "allreduce"
                    ~args:[ "bytes", float_of_int (8 * Array.length a) ];
-               segment r (fun () -> Effect.Deep.continue k ()))
+               wake r k)
              rs
          | _ ->
            (* mixed collectives, or waits that can never complete: every

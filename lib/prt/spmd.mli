@@ -58,6 +58,12 @@ val waitall : request list -> unit
 val request_done : request -> bool
 (** Whether the request's message has been delivered (no suspension). *)
 
+val suspended_s : unit -> float
+(** Seconds the calling rank has spent suspended at collectives and
+    waits since {!run} started it — wall time during which other ranks
+    ran.  0 outside {!run}.  {!Breakdown.timed} subtracts the part of a
+    phase spent suspended and charges it to communication. *)
+
 val run : nranks:int -> (int -> unit) -> unit
 (** [run ~nranks program] executes [program rank] for every rank under
     the scheduler and returns when all ranks finish.  Raises

@@ -11,7 +11,6 @@ let m_misses = Prt.Metrics.counter "serve.program_misses"
 
 type entry = {
   key : string;
-  source : string;
   ir : Finch.Ir.node;
   stats : Finch_opt.Opt.stats;
   rejected : int;
@@ -34,44 +33,38 @@ let naive_source ?post_io (p : Finch.Problem.t) =
   in
   Finch.Emit_source.to_julia ir
 
-(* The naive program text and the cache key derived from it: the one
-   place the key scheme is written down.  [lookup] and [check_uncached]
-   keep the text for their entry, so they take both from one emission. *)
-let keyed_source ?post_io (req : Finch.Solve_request.t) (prep : Finch.prepared) =
+(* The cache key: the digest of the naive program text and the request's
+   batch key — the one place the key scheme is written down. *)
+let key_of ?post_io (req : Finch.Solve_request.t) (prep : Finch.prepared) =
   let source = naive_source ?post_io prep.Finch.pr_problem in
-  ( source,
-    Digest.to_hex
-      (Digest.string (source ^ "|" ^ Finch.Solve_request.batch_key req)) )
+  Digest.to_hex
+    (Digest.string (source ^ "|" ^ Finch.Solve_request.batch_key req))
 
-let key_of ?post_io req prep = snd (keyed_source ?post_io req prep)
-
-let build_entry ?post_io ~key ~source (prep : Finch.prepared) =
+let build_entry ?post_io ~key (prep : Finch.prepared) =
   let p = prep.Finch.pr_problem in
   let res = Finch_opt.Opt.optimize_problem ?post_io p in
   let report = Finch_analysis.Driver.check_problem ?post_io p in
   { key;
-    source;
     ir = res.Finch_opt.Opt.ir;
     stats = res.Finch_opt.Opt.stats;
     rejected = List.length res.Finch_opt.Opt.rejected;
     analysis = report }
 
 let lookup ?post_io (req : Finch.Solve_request.t) (prep : Finch.prepared) =
-  let source, key = keyed_source ?post_io req prep in
+  let key = key_of ?post_io req prep in
   match Hashtbl.find_opt cache key with
   | Some e ->
     Prt.Metrics.incr m_hits;
     e
   | None ->
     Prt.Metrics.incr m_misses;
-    let e = build_entry ?post_io ~key ~source prep in
+    let e = build_entry ?post_io ~key prep in
     Hashtbl.add cache key e;
     e
 
 let check_uncached ?post_io (req : Finch.Solve_request.t)
     (prep : Finch.prepared) =
-  let source, key = keyed_source ?post_io req prep in
-  build_entry ?post_io ~key ~source prep
+  build_entry ?post_io ~key:(key_of ?post_io req prep) prep
 
 let size () = Hashtbl.length cache
 let codegen_programs () = Finch_codegen.Codegen.memo_size ()

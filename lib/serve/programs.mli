@@ -17,7 +17,6 @@
 
 type entry = {
   key : string;  (** content hash; equal keys ⇒ co-batchable programs *)
-  source : string;  (** emitted naive-program text the key derives from *)
   ir : Finch.Ir.node;  (** the optimized program *)
   stats : Finch_opt.Opt.stats;  (** accepted-rewrite counts *)
   rejected : int;  (** optimizer passes vetoed by the analyses *)

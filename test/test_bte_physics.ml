@@ -100,6 +100,35 @@ let test_realistic_lifetimes () =
   let tau_low = Bte.Scattering.tau Bte.Dispersion.LA 1e12 300. in
   check_bool "low-frequency much longer" true (tau_low > 100. *. tau_edge)
 
+let test_rate_derivative () =
+  (* d rate / dT against a central difference in every regime of the
+     Holland model, and the rate itself bitwise [band_rate]'s *)
+  let band branch w =
+    { Bte.Dispersion.id = 0; branch; w_lo = w; w_hi = w; w_center = w; vg = 1. }
+  in
+  List.iter
+    (fun (label, b, t) ->
+      let r, dr = Bte.Scattering.band_rate_dt b t in
+      check_bool (label ^ ": rate is band_rate") true
+        (Int64.equal (Int64.bits_of_float r)
+           (Int64.bits_of_float (Bte.Scattering.band_rate b t)));
+      let h = 1e-5 *. t in
+      let fd =
+        (Bte.Scattering.band_rate b (t +. h) -. Bte.Scattering.band_rate b (t -. h))
+        /. (2. *. h)
+      in
+      if Float.abs (dr -. fd) > 1e-6 *. Float.abs fd then
+        Alcotest.failf "%s: d rate/dT %.17g, central difference %.17g" label dr fd)
+    [ "LA", band Bte.Dispersion.LA 3e13, 300.;
+      "TA normal", band Bte.Dispersion.TA 1e13, 300.;
+      "TA umklapp", band Bte.Dispersion.TA 3e13, 300.;
+      "TA umklapp cold", band Bte.Dispersion.TA 3e13, 20.;
+      "floor", band Bte.Dispersion.LA 1e9, 10. ];
+  check_bool "umklapp regime reached" true
+    (3e13 >= Bte.Constants.omega_half_ta && 1e13 < Bte.Constants.omega_half_ta);
+  check_bool "floor reached" true
+    (fst (Bte.Scattering.band_rate_dt (band Bte.Dispersion.LA 1e9) 10.) = 1e4)
+
 (* ---------- angles ---------- *)
 
 let test_angles_2d_weights () =
@@ -318,6 +347,8 @@ let suite =
       Alcotest.test_case "rates grow with frequency" `Quick test_rates_grow_with_frequency;
       Alcotest.test_case "tau reciprocal" `Quick test_tau_reciprocal;
       Alcotest.test_case "realistic lifetimes" `Quick test_realistic_lifetimes;
+      Alcotest.test_case "rate derivative matches finite difference" `Quick
+        test_rate_derivative;
       Alcotest.test_case "2-D angular weights" `Quick test_angles_2d_weights;
       Alcotest.test_case "3-D angular weights" `Quick test_angles_3d_weights;
       Alcotest.test_case "reflection involution" `Quick test_reflection_involution;

@@ -121,7 +121,16 @@ let test_multi_gpu_matches_serial () =
       in
       let scale = Fvm.Field.max_abs (Finch.Solve.field o1 "I") in
       let d = field_diff o1 o2 "I" /. scale in
-      if d > 1e-12 then Alcotest.failf "gpu ranks=%d: relative diff %g" ranks d)
+      if d > 1e-12 then Alcotest.failf "gpu ranks=%d: relative diff %g" ranks d;
+      (* each rank refreshes Io and beta only for its own bands, so the
+         solution view must gather them from the band owners *)
+      List.iter
+        (fun name ->
+          let scale = Fvm.Field.max_abs (Finch.Solve.field o1 name) in
+          let d = field_diff o1 o2 name /. scale in
+          if d > 1e-12 then
+            Alcotest.failf "gpu ranks=%d: %s relative diff %g" ranks name d)
+        [ "Io"; "beta" ])
     [ 2; 3; 4 ]
 
 let test_gpu_grid_matches_single_device () =
@@ -129,7 +138,13 @@ let test_gpu_grid_matches_single_device () =
      count, tiling the cells across devices must reproduce the
      one-device-per-rank schedule BIT-identically — the owned-slice
      uploads plus d2d ghost pushes reconstruct exactly the values a full
-     upload would have placed, and the host-side combine is unchanged *)
+     upload would have placed, and the host-side combine is unchanged.
+     The exact cross-band reduction makes every grid's solution view,
+     band-indexed fields included, equal a single device's bit for bit. *)
+  let _, single =
+    solve_with
+      (Finch.Config.Gpu { spec = Gpu_sim.Spec.a6000; devices = 1; ranks = 1 })
+  in
   List.iter
     (fun ranks ->
       let _, o1 =
@@ -147,7 +162,14 @@ let test_gpu_grid_matches_single_device () =
             Alcotest.failf "grid %dx%d: I diff %g" devices ranks d;
           let dt = field_diff o1 o2 "T" in
           if dt > 0. then
-            Alcotest.failf "grid %dx%d: T diff %g" devices ranks dt)
+            Alcotest.failf "grid %dx%d: T diff %g" devices ranks dt;
+          List.iter
+            (fun name ->
+              let d = field_diff single o2 name in
+              if d > 0. then
+                Alcotest.failf "grid %dx%d: %s diff %g vs one device" devices
+                  ranks name d)
+            [ "T"; "Io"; "beta" ])
         [ 2; 4 ])
     [ 1; 2; 3; 4 ]
 
@@ -421,6 +443,51 @@ let test_newton_counts_deterministic () =
   check_bool "bisections within solves" true (b1 >= 0 && b1 <= s1);
   Alcotest.(check (pair int int)) "identical counts" (s1, b1) (s2, b2)
 
+let test_hotspot_newton_never_bisects () =
+  (* with d rate/dT in its Jacobian the per-cell Newton converges on every
+     hotspot update without the bisection fallback, in a few residual
+     evaluations each *)
+  let counter = Prt.Metrics.counter in
+  let solves = counter "bte.newton.solves"
+  and bisections = counter "bte.newton.bisections"
+  and evals = counter "bte.newton.evals" in
+  let s0 = Prt.Metrics.value solves
+  and b0 = Prt.Metrics.value bisections
+  and e0 = Prt.Metrics.value evals in
+  Prt.Metrics.enable ();
+  Fun.protect ~finally:Prt.Metrics.disable (fun () ->
+      ignore (solve_with (Finch.Config.Cpu Finch.Config.Serial)));
+  let s = Prt.Metrics.value solves - s0
+  and e = Prt.Metrics.value evals - e0 in
+  Alcotest.(check int) "bisections" 0 (Prt.Metrics.value bisections - b0);
+  check_bool
+    (Printf.sprintf "%d residual evaluations for %d updates" e s)
+    true
+    (s > 0 && e >= s && e <= 4 * s)
+
+let test_band_split_phases_own_time () =
+  (* SPMD ranks run one at a time, so their running segments never
+     overlap: the compute phases summed over ranks fit in the solve's
+     wall time, and time a rank sat suspended at the temperature
+     update's allreduce while its peer swept is communication *)
+  let nranks = 2 in
+  let t0 = Unix.gettimeofday () in
+  let _, o = solve_with (Finch.Config.Cpu (Finch.Config.Band_parallel nranks)) in
+  let wall = Unix.gettimeofday () -. t0 in
+  let b = o.Finch.Solve.breakdown in
+  let total = Prt.Breakdown.total b in
+  let compute = total -. b.Prt.Breakdown.communication in
+  check_bool
+    (Printf.sprintf "phase total %.4f s <= %d x wall %.4f s" total nranks wall)
+    true
+    (total <= float_of_int nranks *. wall);
+  check_bool
+    (Printf.sprintf "compute phases %.4f s <= wall %.4f s" compute wall)
+    true
+    (compute <= (1.05 *. wall) +. 1e-3);
+  check_bool "suspension charged to communication" true
+    (b.Prt.Breakdown.communication > 0.)
+
 let test_diag_stats () =
   let built, o = solve_with (Finch.Config.Cpu Finch.Config.Serial) in
   let ft = Finch.Solve.field o "T" in
@@ -498,4 +565,8 @@ let suite =
       Alcotest.test_case "diagnostics" `Quick test_diag_stats;
       Alcotest.test_case "newton counts deterministic" `Quick
         test_newton_counts_deterministic;
+      Alcotest.test_case "hotspot Newton never bisects" `Quick
+        test_hotspot_newton_never_bisects;
+      Alcotest.test_case "band-split phases count own time" `Quick
+        test_band_split_phases_own_time;
     ] )

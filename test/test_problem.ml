@@ -59,13 +59,6 @@ let test_multiple_equations_rejected () =
   let _ = Finch.Problem.conservation_form p v "-k*v" in
   expect_problem_error (fun () -> ignore (Finch.Problem.the_equation p))
 
-let test_fe_solver_rejected () =
-  let p = fresh () in
-  Finch.Problem.solver_type p Finch.Config.FE;
-  let u = Finch.Problem.variable p ~name:"u" () in
-  let _ = Finch.Problem.coefficient p ~name:"k" (Finch.Entity.Const 1.) in
-  expect_problem_error (fun () -> Finch.Problem.conservation_form p u "-k*u")
-
 let test_boundary_unknown_variable () =
   let p = fresh () in
   let ghost = Finch.Entity.variable ~name:"ghostvar" () in
@@ -222,8 +215,6 @@ let suite =
       Alcotest.test_case "no equation" `Quick test_no_equation;
       Alcotest.test_case "multiple equations rejected" `Quick
         test_multiple_equations_rejected;
-      Alcotest.test_case "FE solver rejected for conservationForm" `Quick
-        test_fe_solver_rejected;
       Alcotest.test_case "boundary unknown variable" `Quick
         test_boundary_unknown_variable;
       Alcotest.test_case "unknown callback at lowering" `Quick
